@@ -828,7 +828,7 @@ let perf_pipeline bechamel_rows =
       (fun d ->
         let xs, t =
           time_it (fun () ->
-              Suu_sim.Parallel.makespans ~domains:d inst ~policy ~seed ~reps)
+              Runner.makespans ~jobs:d inst (policy ()) ~seed ~reps)
         in
         let same = xs = seq in
         Table.add_row table

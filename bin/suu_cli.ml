@@ -338,7 +338,8 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "sim-jobs" ] ~docv:"D"
-          ~doc:"Domains per simulate request (default: SUU_JOBS or cores).")
+          ~doc:"Workers per simulate request on the shared domain pool \
+                (default: SUU_JOBS or cores).")
   in
   let solver_conv =
     let parse s =
@@ -655,7 +656,7 @@ let replay_cmd =
       value
       & opt (some int) None
       & info [ "sim-jobs" ] ~docv:"D"
-          ~doc:"Domains for simulate re-execution (results are identical \
+          ~doc:"Workers for simulate re-execution (results are identical \
                 for every value).")
   in
   let verbose =

@@ -1,8 +1,8 @@
 (* Multicore replication: measuring an expected makespan to tight
-   confidence needs many independent executions, and OCaml 5 domains run
-   them in parallel with bit-identical results (the per-replication
-   generators are derived deterministically, independent of the domain
-   layout).
+   confidence needs many independent executions, and the process-wide
+   domain pool runs them in parallel with bit-identical results (the
+   per-replication generators are derived deterministically, independent
+   of the worker count).
 
    Run with: dune exec examples/parallel_sweep.exe *)
 
@@ -25,13 +25,13 @@ let () =
     reps;
   Printf.printf "recommended domains on this machine: %d\n\n"
     (Domain.recommended_domain_count ());
-  let policy () = Suu_core.Baselines.greedy_completion inst in
+  let policy = Suu_core.Baselines.greedy_completion inst in
   let seq, t_seq =
     time_it (fun () ->
-        Suu_sim.Runner.makespans inst (policy ()) ~seed:31 ~reps)
+        Suu_sim.Runner.makespans ~jobs:1 inst policy ~seed:31 ~reps)
   in
   let table =
-    Table.create ~header:[ "domains"; "time (s)"; "speedup"; "identical" ]
+    Table.create ~header:[ "jobs"; "time (s)"; "speedup"; "identical" ]
   in
   Table.add_row table
     [ "sequential"; Table.fmt_g t_seq; "1"; "-" ];
@@ -39,7 +39,7 @@ let () =
     (fun domains ->
       let par, t_par =
         time_it (fun () ->
-            Suu_sim.Parallel.makespans ~domains inst ~policy ~seed:31 ~reps)
+            Suu_sim.Runner.makespans ~jobs:domains inst policy ~seed:31 ~reps)
       in
       Table.add_row table
         [ string_of_int domains; Table.fmt_g t_par;
@@ -49,9 +49,9 @@ let () =
   Table.print table;
   print_newline ();
   print_endline
-    "Results are bit-identical at every domain count; speedup tracks the\n\
-     physical core count (on a single-core container, extra domains only\n\
-     add scheduling overhead).";
+    "Results are bit-identical at every worker count; the pool never runs\n\
+     more workers than SUU_JOBS (default: the core count), so speedup\n\
+     tracks the physical core count.";
   let s = Suu_stats.Summary.of_array seq in
   Printf.printf "\nE[T] = %.2f ± %.2f over %d traces\n"
     s.Suu_stats.Summary.mean s.Suu_stats.Summary.ci95 reps

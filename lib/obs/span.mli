@@ -10,7 +10,7 @@
     parents automatically.  The ambient context does not cross
     [Thread.create] or [Domain.spawn]; capture {!current} on the
     spawning side and re-anchor with {!with_ambient} in the worker
-    (see [Suu_sim.Parallel] and the server worker pool).
+    (see [Suu_sim.Parallel]'s pool domains and the server worker pool).
 
     Cost when [SUU_TRACE] is off: two monotonic clock reads plus one
     mutex-guarded histogram record per span — nanoseconds, paid per

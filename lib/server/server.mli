@@ -11,7 +11,8 @@
     immediately writes a structured [overloaded] error — backpressure
     instead of unbounded buffering.
     Workers run {!Service.handle} (simulation replications fan out over
-    the {!Suu_sim.Parallel} domain pool) and hand the serialized reply
+    the process-wide {!Suu_sim.Parallel} domain pool, which all workers
+    share) and hand the serialized reply
     back to the loop over a wakeup pipe; only the loop touches sockets,
     so no write locks exist.  A peer that stops reading its replies has
     its read interest shed once [outbuf_limit] is exceeded
@@ -54,7 +55,7 @@ type config = {
   default_deadline_ms : int;
       (** deadline for requests that carry none (default 30_000) *)
   sim_jobs : int option;
-      (** domain count for simulate fan-out (default: the
+      (** worker cap for simulate fan-out (default: the
           {!Suu_sim.Parallel} default) *)
   solver : Suu_core.Solver_choice.t option;
       (** LP backend for every policy this server builds.  [None] (the

@@ -164,9 +164,9 @@ let plan t ~deadline inst name ~seed =
              (Array.to_list
                 (Array.map (fun b -> f17 (float_of_int b /. mk)) busy))) ]
 
-(* Replication batches between deadline checks: small enough that an
-   expired request stops within a bounded slice of extra work, large
-   enough that the domain fan-out amortizes. *)
+(* Replications between deadline checks: small enough that an expired
+   request stops within a bounded slice of extra work, large enough
+   that the fan-out over the domain pool amortizes. *)
 let sim_batch = 32
 
 let simulate t ~deadline inst name ~reps ~seed =
@@ -174,26 +174,14 @@ let simulate t ~deadline inst name ~reps ~seed =
   | Result.Error _ as e -> e
   | Result.Ok policy ->
       note_bypass name;
-      let n = Instance.n inst in
-      let rngs = Suu_sim.Runner.rep_rngs ~seed ~reps in
       let results = Array.make reps 0.0 in
-      let lo = ref 0 in
-      while !lo < reps do
-        check t ~deadline;
-        let base = !lo in
-        let hi = min reps (base + sim_batch) in
-        (* Replication [k] draws only from [rngs.(k)] and writes only
-           [results.(k)]: bit-identical for every [sim_jobs], hence for
-           every server worker count. *)
-        Suu_sim.Parallel.parallel_for ?jobs:t.sim_jobs ~n:(hi - base)
-          (fun k ->
-            let trace_rng, policy_rng = rngs.(base + k) in
-            let trace = Suu_sim.Trace.draw ~n trace_rng in
-            results.(base + k) <-
-              float_of_int
-                (Suu_sim.Engine.makespan inst policy ~trace ~rng:policy_rng));
-        lo := hi
-      done;
+      check t ~deadline;
+      (* Bit-identical for every [sim_jobs], hence for every server
+         worker count: the kernel writes replication [k] to slot [k]. *)
+      Suu_sim.Runner.replicate ?jobs:t.sim_jobs inst policy ~seed ~lo:0
+        ~hi:reps ~batch:sim_batch
+        ~after_batch:(fun ~lo:_ ~hi -> if hi < reps then check t ~deadline)
+        results;
       let s = Suu_stats.Summary.of_array results in
       Result.Ok
         [ ("policy", Suu_core.Policy.name policy);
@@ -250,7 +238,7 @@ let stats_fields t =
    the hit/miss statistics a client later reads from [stats].
    [store.warm_start.loaded] counts the bodies that contributed to the
    caches instead. *)
-let c_warm_loaded = lazy (Suu_obs.Registry.counter "store.warm_start.loaded")
+let c_warm_loaded = Suu_obs.Registry.counter "store.warm_start.loaded"
 
 let warm t body =
   let loaded =
@@ -267,7 +255,7 @@ let warm t body =
                still worth caching (entry_for ran inside get_policy). *)
             true)
   in
-  if loaded then Suu_obs.Counter.incr (Lazy.force c_warm_loaded);
+  if loaded then Suu_obs.Counter.incr c_warm_loaded;
   loaded
 
 let handle t ?deadline body =

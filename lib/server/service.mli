@@ -38,8 +38,8 @@ val create :
   unit ->
   t
 (** [instance_cache_capacity] bounds the digest-keyed instance cache
-    (default 64; [Invalid_argument] when < 1).  [sim_jobs] fixes the
-    domain count used for [simulate] fan-out (default: the
+    (default 64; [Invalid_argument] when < 1).  [sim_jobs] caps the
+    workers a [simulate] uses on the shared domain pool (default: the
     {!Suu_sim.Parallel} default, i.e. [SUU_JOBS] or the core count).
     [solver] selects the LP backend every policy this service builds
     will use (default: the library default,

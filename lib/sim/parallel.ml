@@ -8,138 +8,132 @@ let default_jobs () =
           invalid_arg
             (Printf.sprintf "SUU_JOBS must be a positive integer, got %S" s))
 
-(* Chunked dynamic scheduling over [0, n): workers claim chunk indices
-   from a shared atomic counter, so uneven per-item costs (simulations
-   whose makespans differ wildly) still balance.  [local] builds one
-   worker-private state per domain (policies are not domain-safe to
-   share mid-execution); the body writes only to disjoint result slots,
-   so no further synchronization is needed. *)
-let c_items = lazy (Suu_obs.Registry.counter "parallel.items")
+let c_items = Suu_obs.Registry.counter "parallel.items"
+let c_domains = Suu_obs.Registry.counter "parallel.pool.domains"
 
-let run_chunks ~jobs ~chunk ~n ~local body =
-  if n > 0 then begin
-    let obs = Suu_obs.Registry.enabled () in
-    let jobs = max 1 (min jobs n) in
-    if jobs = 1 then begin
-      let t0 = if obs then Suu_obs.Clock.now_ns () else 0L in
-      let st = local () in
-      for i = 0 to n - 1 do
-        body st i
-      done;
-      if obs then begin
-        Suu_obs.Counter.add (Lazy.force c_items) n;
-        Suu_obs.Span.record ~name:"parallel.worker"
-          ~attrs:[ ("items", string_of_int n) ]
-          ~start_ns:t0
-          ~stop_ns:(Suu_obs.Clock.now_ns ())
-          ()
-      end
-    end
-    else begin
-      let chunk = max 1 chunk in
-      let nchunks = ((n + chunk - 1) / chunk) in
-      let next = Atomic.make 0 in
-      (* Spawned domains start with no ambient span; re-root their
-         per-worker spans under the caller's so a trace shows the fan-out
-         nested inside whatever phase requested it. *)
-      let parent = Suu_obs.Span.current () in
-      let worker () =
-        let run () =
-          let t0 = if obs then Suu_obs.Clock.now_ns () else 0L in
-          let st = local () in
-          let mine = ref 0 in
-          let rec loop () =
-            let c = Atomic.fetch_and_add next 1 in
-            if c < nchunks then begin
-              let lo = c * chunk in
-              let hi = min n (lo + chunk) in
-              for i = lo to hi - 1 do
-                body st i
-              done;
-              mine := !mine + (hi - lo);
-              loop ()
-            end
-          in
-          loop ();
-          if obs then begin
-            Suu_obs.Counter.add (Lazy.force c_items) !mine;
-            Suu_obs.Span.record ~name:"parallel.worker" ?parent
-              ~attrs:[ ("items", string_of_int !mine) ]
-              ~start_ns:t0
-              ~stop_ns:(Suu_obs.Clock.now_ns ())
-              ()
-          end
-        in
-        Suu_obs.Span.with_ambient parent run
-      in
-      let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-      (* Every spawned domain must be joined on every exit path.  If the
-         caller's inline [worker ()] raises and we unwind without
-         joining, the spawned domains keep running against buffers the
-         caller believes it owns again — and their slots leak unjoined.
-         The [finally] block therefore joins unconditionally, swallowing
-         nothing: the first exception a join surfaces is kept and
-         rethrown once the inline worker's own outcome is known (the
-         inline exception, being first, wins). *)
-      let join_failure = ref None in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter
-            (fun d ->
-              try Domain.join d
-              with e -> if !join_failure = None then join_failure := Some e)
-            spawned)
-        worker;
-      match !join_failure with Some e -> raise e | None -> ()
-    end
+(* The process-wide pool.  Callers post helper closures to [helpers];
+   each pool domain pops one, runs it (the helper claims chunks of its
+   call until none are left) and goes back for the next.  A helper
+   popped after its call has returned finds no chunk left and is a
+   no-op, so callers never need to withdraw what they posted. *)
+let lock = Mutex.create ()
+let posted = Condition.create ()
+let helpers : (unit -> unit) Queue.t = Queue.create ()
+let size = ref None
+
+let rec pool_domain () =
+  let helper =
+    Mutex.protect lock (fun () ->
+        while Queue.is_empty helpers do
+          Condition.wait posted lock
+        done;
+        Queue.pop helpers)
+  in
+  helper ();
+  pool_domain ()
+
+(* Spawned on the first call that wants a second worker — never at
+   module initialisation, so processes that only route or dial (the
+   router, clients) stay single-domain. *)
+let pool_size () =
+  Mutex.protect lock (fun () ->
+      match !size with
+      | Some k -> k
+      | None ->
+          let k = default_jobs () - 1 in
+          for _ = 1 to k do
+            ignore (Domain.spawn pool_domain : unit Domain.t);
+            Suu_obs.Counter.incr c_domains
+          done;
+          size := Some k;
+          k)
+
+(* One worker's share of a call — the caller's own, or a pool helper's
+   re-rooted under the caller's span.  [run] returns how many items it
+   executed; a worker that executed none records no span. *)
+let as_worker ~obs ~parent run =
+  let t0 = if obs then Suu_obs.Clock.now_ns () else 0L in
+  let items = run () in
+  if obs && items > 0 then begin
+    Suu_obs.Counter.add c_items items;
+    Suu_obs.Span.record ~name:"parallel.worker" ?parent
+      ~attrs:[ ("items", string_of_int items) ]
+      ~start_ns:t0
+      ~stop_ns:(Suu_obs.Clock.now_ns ())
+      ()
   end
 
-(* Aim for several chunks per worker so the tail balances, without
-   grinding the atomic counter on tiny items. *)
-let auto_chunk ~jobs ~n = max 1 (n / (4 * jobs))
-
-let parallel_for ?jobs ?chunk ~n f =
-  let jobs = match jobs with Some j when j >= 1 -> j
+let parallel_for ?jobs ~n f =
+  let jobs =
+    match jobs with
+    | Some j when j >= 1 -> j
     | Some _ -> invalid_arg "Parallel.parallel_for: jobs must be positive"
     | None -> default_jobs ()
   in
-  let chunk =
-    match chunk with Some c -> c | None -> auto_chunk ~jobs ~n
+  let obs = Suu_obs.Registry.enabled () in
+  let parent = Suu_obs.Span.current () in
+  let extra =
+    if jobs > 1 && n > 1 then min (min jobs n - 1) (pool_size ()) else 0
   in
-  run_chunks ~jobs ~chunk ~n ~local:(fun () -> ()) (fun () i -> f i)
-
-let parallel_map ?jobs ?chunk f a =
-  let n = Array.length a in
-  if n = 0 then [||]
+  if extra = 0 then
+    as_worker ~obs ~parent (fun () ->
+        for i = 0 to n - 1 do
+          f i
+        done;
+        max n 0)
   else begin
-    (* Seed the result array from item 0 (computed on the caller's
-       domain) to avoid an option-per-slot dance. *)
-    let out = Array.make n (f a.(0)) in
-    parallel_for ?jobs ?chunk ~n:(n - 1) (fun i ->
-        out.(i + 1) <- f a.(i + 1));
-    out
+    (* Several chunks per worker so the tail balances, without grinding
+       the atomic counter on tiny items. *)
+    let chunk = max 1 (n / (4 * (extra + 1))) in
+    let nchunks = (n + chunk - 1) / chunk in
+    let next = Atomic.make 0 in
+    let unfinished = Atomic.make nchunks in
+    let failure = Atomic.make None in
+    let done_lock = Mutex.create () and all_done = Condition.create () in
+    (* Claim chunks until none is left.  After a failure the remaining
+       chunks are still claimed but skipped, so every chunk is
+       accounted for before the call returns. *)
+    let rec drain items =
+      let c = Atomic.fetch_and_add next 1 in
+      if c >= nchunks then items
+      else begin
+        let lo = c * chunk and hi = min n ((c + 1) * chunk) in
+        let ran =
+          if Option.is_some (Atomic.get failure) then 0
+          else
+            try
+              for i = lo to hi - 1 do
+                f i
+              done;
+              hi - lo
+            with e ->
+              let bt = Printexc.get_raw_backtrace () in
+              ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+              0
+        in
+        if Atomic.fetch_and_add unfinished (-1) = 1 then
+          Mutex.protect done_lock (fun () -> Condition.broadcast all_done);
+        drain (items + ran)
+      end
+    in
+    let helper () =
+      Suu_obs.Span.with_ambient parent (fun () ->
+          as_worker ~obs ~parent (fun () -> drain 0))
+    in
+    Mutex.protect lock (fun () ->
+        for _ = 1 to extra do
+          Queue.push helper helpers
+        done;
+        Condition.broadcast posted);
+    (* The caller always drains its own call, so it never waits on a
+       pool domain that is busy elsewhere: concurrent and nested calls
+       cannot deadlock, they only run with fewer helpers. *)
+    as_worker ~obs ~parent (fun () -> drain 0);
+    Mutex.protect done_lock (fun () ->
+        while Atomic.get unfinished > 0 do
+          Condition.wait all_done done_lock
+        done);
+    match Atomic.get failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
   end
-
-let makespans ?cap ?domains inst ~policy ~seed ~reps =
-  if reps <= 0 then invalid_arg "Parallel.makespans: reps must be positive";
-  let jobs =
-    match domains with
-    | Some d when d <= 0 ->
-        invalid_arg "Parallel.makespans: domains must be positive"
-    | Some d -> min d reps
-    | None -> min (default_jobs ()) reps
-  in
-  let rngs = Seeds.rep_rngs ~seed ~reps in
-  let results = Array.make reps 0.0 in
-  let n = Suu_core.Instance.n inst in
-  run_chunks ~jobs ~chunk:(auto_chunk ~jobs ~n:reps) ~n:reps ~local:policy
-    (fun pol k ->
-      let trace_rng, policy_rng = rngs.(k) in
-      let trace = Trace.draw ~n trace_rng in
-      results.(k) <-
-        float_of_int (Engine.makespan ?cap inst pol ~trace ~rng:policy_rng));
-  results
-
-let expected_makespan ?cap ?domains inst ~policy ~seed ~reps =
-  let xs = makespans ?cap ?domains inst ~policy ~seed ~reps in
-  Array.fold_left ( +. ) 0.0 xs /. float_of_int reps

@@ -1,62 +1,36 @@
-(** Multicore execution substrate (OCaml 5 domains, stdlib only).
+(** Multicore execution substrate: one process-wide domain pool (OCaml 5
+    stdlib only).
 
-    A small fork/join pool: each call spawns [jobs - 1] worker domains
-    (the caller's domain is the first worker), partitions the index
-    space into chunks, and lets workers claim chunks from a shared
-    atomic counter — dynamic scheduling, so items with wildly uneven
-    costs (simulated executions) still balance.
+    The pool spawns [default_jobs () - 1] domains once, on the first
+    call that wants more than one worker, and keeps them for the life of
+    the process; no call spawns or joins a domain.  Processes that never
+    ask for a second worker (the router, clients, [SUU_JOBS=1] runs)
+    stay single-domain.  The spawned count is the [parallel.pool.domains]
+    counter.
 
-    The worker count defaults to the [SUU_JOBS] environment variable
-    when set, else [Domain.recommended_domain_count ()]; every entry
-    point takes an explicit override.
+    A call partitions its index space into chunks, posts up to
+    [jobs - 1] helpers to the pool's task queue and drains its own
+    chunks on the calling thread; idle pool domains pick up the helpers
+    and claim chunks from the same atomic counter (dynamic scheduling,
+    so items with uneven costs still balance).  Because the caller
+    always works its own call, concurrent callers — the server's worker
+    threads share the one pool — and nested calls never deadlock; they
+    only get fewer helpers.
 
-    Replications are embarrassingly parallel: each runs an independent
-    trace.  {!makespans} fans the per-replication work of {!Runner} out
-    over domains with bit-identical results: the per-replication
-    generators come from {!Runner.rep_rngs}, each replication writes
-    only its own result slot, so [makespans ~domains:k] equals the
-    sequential run for every [k].
-
-    Policies are created per domain through a factory, because a policy
-    value may close over scratch buffers or caches that are cheaper to
-    keep unshared (each domain then owns a private plan cache). *)
+    Each participating worker records one [parallel.worker] span,
+    parented under the caller's ambient span, and adds its item count to
+    the [parallel.items] counter. *)
 
 val default_jobs : unit -> int
 (** [SUU_JOBS] when set (raises [Invalid_argument] if it is not a
     positive integer), else [Domain.recommended_domain_count ()]. *)
 
-val parallel_for : ?jobs:int -> ?chunk:int -> n:int -> (int -> unit) -> unit
-(** [parallel_for ~n f] runs [f 0 .. f (n - 1)] across [jobs] domains in
-    chunks of [chunk] (default: a few chunks per worker).  [f] must be
-    safe to run concurrently on distinct indices.  Exceptions raised by
-    a worker are re-raised at the join; whichever worker raises, every
-    spawned domain is joined before the exception escapes, so no domain
-    outlives the call or leaks unjoined. *)
-
-val parallel_map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map f a] is [Array.map f a] across domains.  [f a.(0)]
-    runs first on the caller's domain (it seeds the result array). *)
-
-val makespans :
-  ?cap:int ->
-  ?domains:int ->
-  Suu_core.Instance.t ->
-  policy:(unit -> Suu_core.Policy.t) ->
-  seed:int ->
-  reps:int ->
-  float array
-(** [makespans inst ~policy ~seed ~reps] runs [reps] executions across
-    [domains] domains (default: {!default_jobs}, capped at [reps]).
-    [policy ()] is called once per domain.  Bit-identical to
-    {!Runner.makespans} with the same seed.  Raises [Invalid_argument]
-    on non-positive [reps] or [domains]. *)
-
-val expected_makespan :
-  ?cap:int ->
-  ?domains:int ->
-  Suu_core.Instance.t ->
-  policy:(unit -> Suu_core.Policy.t) ->
-  seed:int ->
-  reps:int ->
-  float
-(** Mean of {!makespans}. *)
+val parallel_for : ?jobs:int -> n:int -> (int -> unit) -> unit
+(** [parallel_for ~n f] runs [f 0 .. f (n - 1)] on at most [jobs]
+    workers (default {!default_jobs}; never more than the pool size plus
+    the caller).  [f] must be safe to run concurrently on distinct
+    indices.  The call returns only once every chunk it handed out has
+    finished.  If [f] raises, the remaining chunks are skipped, and the
+    first exception is re-raised with its backtrace once the call has
+    finished; the pool domains stay alive for later calls.  Raises
+    [Invalid_argument] on non-positive [jobs]. *)

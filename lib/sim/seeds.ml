@@ -1,6 +1,5 @@
-(* Canonical per-replication generator derivation, shared by the
-   sequential Runner and the multicore Parallel runner so both see
-   identical traces.
+(* Canonical per-replication generator derivation for the replication
+   kernel, so every worker count sees identical traces.
 
    Determinism contract: generators are split off the master in an
    explicit loop (trace rng before policy rng, replication order) —

@@ -1,4 +1,4 @@
-(** Canonical replication seeding, shared by {!Runner} and {!Parallel}.
+(** Canonical replication seeding for {!Runner}'s replication kernel.
 
     [rep_rngs ~seed ~reps] derives the per-replication
     [(trace_rng, policy_rng)] pairs from a master generator, in a fixed

@@ -1,7 +1,7 @@
 let default_batch = 64
 
-let c_served = lazy (Suu_obs.Registry.counter "store.memo.served")
-let c_computed = lazy (Suu_obs.Registry.counter "store.memo.computed")
+let c_served = Suu_obs.Registry.counter "store.memo.served"
+let c_computed = Suu_obs.Registry.counter "store.memo.computed"
 
 let instance_digest inst =
   Digest.to_hex (Digest.string (Suu_core.Instance_io.to_string inst))
@@ -23,28 +23,17 @@ let makespans ~store ?cap ?jobs ?(batch = default_batch) ?policy_name inst
   let have_n = min (Array.length have) reps in
   let results = Array.make reps 0.0 in
   Array.blit have 0 results 0 have_n;
-  Suu_obs.Counter.add (Lazy.force c_served) have_n;
+  Suu_obs.Counter.add c_served have_n;
   if have_n < reps then begin
-    (* Same derivation as Runner.makespans: replication [k]'s pair
-       depends only on (seed, k), so starting mid-sweep replays the
-       exact generators an uninterrupted run would have used. *)
-    let rngs = Suu_sim.Seeds.rep_rngs ~seed ~reps in
-    let n = Suu_core.Instance.n inst in
-    let lo = ref have_n in
-    while !lo < reps do
-      let base = !lo in
-      let hi = min reps (base + batch) in
-      Suu_sim.Parallel.parallel_for ?jobs ~n:(hi - base) (fun k ->
-          let trace_rng, policy_rng = rngs.(base + k) in
-          let trace = Suu_sim.Trace.draw ~n trace_rng in
-          results.(base + k) <-
-            float_of_int
-              (Suu_sim.Engine.makespan ?cap inst policy ~trace
-                 ~rng:policy_rng));
-      Result_store.append store key ~start:base
-        (Array.sub results base (hi - base));
-      lo := hi
-    done;
-    Suu_obs.Counter.add (Lazy.force c_computed) (reps - have_n)
+    (* Replication [k] depends only on (seed, k), so starting mid-sweep
+       replays the exact generators an uninterrupted run would have
+       used; each batch is committed before the next one starts. *)
+    Suu_sim.Runner.replicate ?cap ?jobs inst policy ~seed ~lo:have_n ~hi:reps
+      ~batch
+      ~after_batch:(fun ~lo ~hi ->
+        Result_store.append store key ~start:lo
+          (Array.sub results lo (hi - lo)))
+      results;
+    Suu_obs.Counter.add c_computed (reps - have_n)
   end;
   results

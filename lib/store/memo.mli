@@ -2,8 +2,10 @@
 
     [makespans ~store inst policy ~seed ~reps] returns exactly what
     [Runner.makespans] would — bit for bit — serving the longest
-    committed prefix from the store and computing (then committing)
-    only the missing replications, in durable batches.
+    committed prefix from the store and computing only the missing
+    replications on the replication kernel
+    ({!Suu_sim.Runner.replicate}), whose [after_batch] hook commits each
+    batch durably before the next one starts.
 
     Why the prefix semantics compose with determinism: replication
     [k]'s generators depend only on [(seed, k)] (see

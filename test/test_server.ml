@@ -343,13 +343,15 @@ let test_e2e_parse_error_then_valid_frame () =
           | _ -> Alcotest.fail "connection should survive a parse error"))
 
 let test_e2e_overload_rejects () =
-  (* One worker, queue of one: a slow request occupies the worker, the
-     next fills the queue, the third must be refused immediately. *)
+  (* One worker, queue of one.  The fault injector delays every reply on
+     the worker side, so the first request holds the worker for 500 ms
+     however cheap its work is: the next request fills the queue and the
+     third must be refused immediately. *)
+  let hold = { Suu_server.Faults.none with delay = 1.0; delay_ms = 500 } in
   let config =
     { Server.default_config with workers = 1; queue_capacity = 1;
-      sim_jobs = Some 1 }
+      sim_jobs = Some 1; faults = Some hold }
   in
-  let slow_inst = W.independent W.Near_one ~n:32 ~m:4 ~seed:13 in
   let quick_inst = W.independent uniform ~n:4 ~m:2 ~seed:14 in
   with_server ~config (fun server ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -366,9 +368,7 @@ let test_e2e_overload_rejects () =
             in
             ignore (Unix.write_substring fd s 0 (String.length s))
           in
-          send "slow"
-            (P.Simulate
-               { inst = slow_inst; policy = "greedy"; reps = 2000; seed = 1 });
+          send "held" (P.Describe quick_inst);
           send "queued" (P.Describe quick_inst);
           send "refused" (P.Describe quick_inst);
           let rd = Suu_server.Lineio.reader fd in
@@ -381,13 +381,13 @@ let test_e2e_overload_rejects () =
               | None -> Alcotest.fail "stream ended early"
           in
           let responses = read_all [] 3 in
-          (* Whether the worker has already popped the slow job when the
-             follow-ups arrive is a benign race: if it has, the second
+          (* Whether the worker has already popped the held request when
+             the follow-ups arrive is a benign race: if it has, the second
              fills the queue and the third is refused; if it has not, the
-             slow job still occupies the queue and both follow-ups are
-             refused.  Either way the slow request entered an empty queue
+             held request still occupies the queue and both follow-ups are
+             refused.  Either way the held request entered an empty queue
              and must succeed, and at least one follow-up must be refused
-             while it runs. *)
+             while the worker is held. *)
           let rejected =
             List.filter_map
               (function
@@ -399,16 +399,16 @@ let test_e2e_overload_rejects () =
             "at least one follow-up refused" true
             (List.length rejected >= 1);
           Alcotest.(check bool)
-            "the slow request was never refused" false
-            (List.mem "slow" rejected);
-          let slow_ok =
+            "the held request was never refused" false
+            (List.mem "held" rejected);
+          let held_ok =
             List.exists
               (function
-                | P.Ok { id = Some "slow"; _ } -> true
+                | P.Ok { id = Some "held"; _ } -> true
                 | _ -> false)
               responses
           in
-          Alcotest.(check bool) "the slow request succeeded" true slow_ok))
+          Alcotest.(check bool) "the held request succeeded" true held_ok))
 
 let test_e2e_deadline_timeout () =
   let config = { Server.default_config with sim_jobs = Some 1 } in

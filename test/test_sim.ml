@@ -359,38 +359,34 @@ let prop_engine_executions_audit_clean =
 
 let test_parallel_matches_sequential () =
   let inst = single_machine_inst 0.6 5 in
-  let seq = Runner.makespans inst (work_first inst) ~seed:21 ~reps:16 in
+  let seq =
+    Runner.makespans ~jobs:1 inst (work_first inst) ~seed:21 ~reps:16
+  in
   List.iter
-    (fun domains ->
+    (fun jobs ->
       let par =
-        Suu_sim.Parallel.makespans ~domains inst
-          ~policy:(fun () -> work_first inst)
-          ~seed:21 ~reps:16
+        Runner.makespans ~jobs inst (work_first inst) ~seed:21 ~reps:16
       in
       Alcotest.(check bool)
-        (Printf.sprintf "%d domains identical" domains)
+        (Printf.sprintf "%d jobs identical" jobs)
         true (seq = par))
     [ 1; 2; 4 ]
 
 let test_parallel_validation () =
   let inst = single_machine_inst 0.6 2 in
-  Alcotest.check_raises "bad reps"
-    (Invalid_argument "Parallel.makespans: reps must be positive") (fun () ->
-      ignore
-        (Suu_sim.Parallel.makespans inst
-           ~policy:(fun () -> work_first inst)
-           ~seed:0 ~reps:0));
-  Alcotest.check_raises "bad domains"
-    (Invalid_argument "Parallel.makespans: domains must be positive")
+  Alcotest.check_raises "bad jobs"
+    (Invalid_argument "Parallel.parallel_for: jobs must be positive")
     (fun () ->
-      ignore
-        (Suu_sim.Parallel.makespans ~domains:0 inst
-           ~policy:(fun () -> work_first inst)
-           ~seed:0 ~reps:4))
+      ignore (Runner.makespans ~jobs:0 inst (work_first inst) ~seed:0 ~reps:4));
+  Alcotest.check_raises "bad batch"
+    (Invalid_argument "Runner.replicate: batch must be positive") (fun () ->
+      Runner.replicate inst (work_first inst) ~seed:0 ~lo:0 ~hi:4 ~batch:0
+        ~after_batch:(fun ~lo:_ ~hi:_ -> ())
+        (Array.make 4 0.0))
 
 let test_parallel_real_policy () =
-  (* A stateful LP-driven policy created per domain must agree with the
-     sequential runner. *)
+  (* A stateful LP-driven policy shared by every worker must agree with
+     the single-worker run. *)
   let inst =
     Suu_core.Instance.make ~dag:(Suu_dag.Dag.empty 6)
       (Array.init 2 (fun i ->
@@ -398,23 +394,24 @@ let test_parallel_real_policy () =
                0.3 +. (0.1 *. float_of_int ((i + j) mod 5)))))
   in
   let seq =
-    Runner.makespans inst (Suu_core.Suu_i_sem.policy inst) ~seed:5 ~reps:8
+    Runner.makespans ~jobs:1 inst (Suu_core.Suu_i_sem.policy inst) ~seed:5
+      ~reps:8
   in
   let par =
-    Suu_sim.Parallel.makespans ~domains:3 inst
-      ~policy:(fun () -> Suu_core.Suu_i_sem.policy inst)
-      ~seed:5 ~reps:8
+    Runner.makespans ~jobs:3 inst (Suu_core.Suu_i_sem.policy inst) ~seed:5
+      ~reps:8
   in
   Alcotest.(check bool) "identical" true (seq = par)
 
-(* Replications fan out over domains with bit-identical results, for
-   both the shared-policy Runner (?jobs) and the factory-based Parallel
-   runner, across random instances, seeds, and job counts. *)
+(* Replications fan out over the pool with bit-identical results across
+   random instances, seeds and job counts {1, 2, 5, default}; the
+   default-jobs run uses a freshly built policy value, and a batched
+   kernel run must agree slot for slot. *)
 let prop_parallel_bit_identical =
   QCheck.Test.make ~count:15
     ~name:"parallel runners bit-identical to sequential"
-    QCheck.(triple small_int (int_range 1 11) (int_range 0 2))
-    (fun (seed, reps, shape) ->
+    QCheck.(quad small_int (int_range 1 11) (int_range 0 2) (int_range 1 4))
+    (fun (seed, reps, shape, batch) ->
       let module W = Suu_workload.Workload in
       let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
       let inst =
@@ -424,35 +421,31 @@ let prop_parallel_bit_identical =
         | _ -> W.forest uniform ~n:9 ~trees:2 ~orientation:`Mixed ~m:3 ~seed
       in
       let policy = Suu_core.Auto.policy inst in
-      let seq = Runner.makespans ~jobs:1 inst policy ~seed:(seed + 1) ~reps in
-      let shared2 =
-        Runner.makespans ~jobs:2 inst policy ~seed:(seed + 1) ~reps
+      let run ?jobs policy =
+        Runner.makespans ?jobs inst policy ~seed:(seed + 1) ~reps
       in
-      let shared5 =
-        Runner.makespans ~jobs:5 inst policy ~seed:(seed + 1) ~reps
-      in
-      let factory3 =
-        Suu_sim.Parallel.makespans ~domains:3 inst
-          ~policy:(fun () -> Suu_core.Auto.policy inst)
-          ~seed:(seed + 1) ~reps
-      in
-      seq = shared2 && seq = shared5 && seq = factory3)
+      let seq = run ~jobs:1 policy in
+      let batched = Array.make reps 0.0 in
+      Runner.replicate ~jobs:2 inst policy ~seed:(seed + 1) ~lo:0 ~hi:reps
+        ~batch ~after_batch:(fun ~lo:_ ~hi:_ -> ()) batched;
+      seq = run ~jobs:2 policy
+      && seq = run ~jobs:5 policy
+      && seq = run (Suu_core.Auto.policy inst)
+      && seq = batched)
 
-(* Regression: a raising body must re-raise AND join every spawned
-   domain first.  The old code joined only after the caller's inline
-   worker returned normally, so an exception unwound past live domains —
-   they kept running (and mutating caller-owned buffers) after the call
-   "failed", and were never joined. *)
+(* A raising body surfaces its exception only once the call has
+   finished: no item may complete after the caller sees the exception,
+   and the pool survives for the next call. *)
 let test_parallel_raise_joins_all () =
   let n = 8 in
   let completed = Atomic.make 0 in
   let raised =
     try
-      Suu_sim.Parallel.parallel_for ~jobs:4 ~chunk:1 ~n (fun i ->
+      Suu_sim.Parallel.parallel_for ~jobs:4 ~n (fun i ->
           if i = 0 then failwith "boom"
           else begin
-            (* Slow enough that unjoined domains would still be running
-               when the exception escapes. *)
+            (* Slow enough that a still-running helper would be caught
+               completing an item after the raise. *)
             Thread.delay 0.02;
             Atomic.incr completed
           end);
@@ -462,15 +455,55 @@ let test_parallel_raise_joins_all () =
       true
   in
   Alcotest.(check bool) "exception propagated" true raised;
-  (* All spawned domains were joined before the raise escaped, and one
-     worker's failure does not cancel the others' claimed chunks: every
-     non-raising item has completed by the time the caller sees the
-     exception — none completes later. *)
-  Alcotest.(check int) "all other items done at the catch" (n - 1)
-    (Atomic.get completed);
+  let at_catch = Atomic.get completed in
   Thread.delay 0.05;
-  Alcotest.(check int) "no stray domain runs on" (n - 1)
-    (Atomic.get completed)
+  Alcotest.(check int) "no item finishes after the call returned" at_catch
+    (Atomic.get completed);
+  let out = Array.make n (-1) in
+  Suu_sim.Parallel.parallel_for ~jobs:4 ~n (fun i -> out.(i) <- i);
+  Alcotest.(check (array int)) "next call on the same pool succeeds"
+    (Array.init n Fun.id) out
+
+(* Concurrent callers share one pool: 4 threads x 50 calls never spawn
+   a domain beyond the pool's fixed size. *)
+let test_parallel_pool_size_fixed () =
+  let threads =
+    List.init 4 (fun _ ->
+        Thread.create
+          (fun () ->
+            for c = 1 to 50 do
+              let out = Array.make 16 0 in
+              Suu_sim.Parallel.parallel_for ~n:16 (fun i -> out.(i) <- i + c);
+              assert (out = Array.init 16 (fun i -> i + c))
+            done)
+          ())
+  in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "spawned domains = pool size"
+    (Suu_sim.Parallel.default_jobs () - 1)
+    (Suu_obs.Counter.get (Suu_obs.Registry.counter "parallel.pool.domains"))
+
+(* Regression for the cross-domain [Lazy] race: module-level counters
+   used to be [lazy] values forced on first use from several domains at
+   once, which raises [CamlinternalLazy.Undefined].  Only a fresh
+   process has its first use ahead of it, so run the probe many times. *)
+let test_parallel_fresh_process_first_use () =
+  let runs = 200 in
+  let env = Array.append [| "SUU_JOBS=8" |] (Unix.environment ()) in
+  let probe =
+    Filename.concat (Filename.dirname Sys.executable_name) "race_probe.exe"
+  in
+  let failures = ref 0 in
+  for _ = 1 to runs do
+    let pid =
+      Unix.create_process_env probe [| probe |] env Unix.stdin Unix.stdout
+        Unix.stderr
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> incr failures
+  done;
+  Alcotest.(check int) (Printf.sprintf "failed runs of %d" runs) 0 !failures
 
 (* --- runner --- *)
 
@@ -571,6 +604,10 @@ let () =
           Alcotest.test_case "raise joins all domains" `Quick
             test_parallel_raise_joins_all;
           QCheck_alcotest.to_alcotest prop_parallel_bit_identical;
+          Alcotest.test_case "pool size fixed under concurrent callers" `Quick
+            test_parallel_pool_size_fixed;
+          Alcotest.test_case "first use from many domains in a fresh process"
+            `Quick test_parallel_fresh_process_first_use;
         ] );
       ( "runner",
         [
