@@ -29,6 +29,18 @@ let section title =
 
 let note fmt = Printf.printf (fmt ^^ "\n%!")
 
+(* SUU_PERF_SCALE=tiny shrinks the artifact-writing experiments to a CI
+   smoke size; scale-dependent floors key off it too. *)
+let tiny = Sys.getenv_opt "SUU_PERF_SCALE" = Some "tiny"
+
+(* Open a BENCH_<experiment>.json body; {!Record.emit} closes and
+   writes it along with the experiment's checks and metrics. *)
+let artifact experiment =
+  let buf = Buffer.create 4096 in
+  Printf.bprintf buf "{\n  \"experiment\": %S,\n  \"scale\": %S,\n" experiment
+    (if tiny then "tiny" else "full");
+  buf
+
 (* Durable memoization: with SUU_STORE set to a directory, every ratio
    sweep routes through {!Suu_store.Memo} — committed replication
    batches are served from the store and only missing ones are
@@ -711,8 +723,8 @@ let a3 () =
 
 (* Per-phase latency breakdown from the Obs registry, as a JSON object
    keyed by phase name.  Every span recorded anywhere in the process so
-   far (LP solves, engine runs, server request phases) shows up, which
-   is what lets the CI gate compare phase timings across PRs. *)
+   far (LP solves, engine runs, server request phases) shows up; the
+   gated subset is declared through {!phase_metrics}. *)
 let phases_json buf ~indent =
   let pad = String.make indent ' ' in
   let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -732,10 +744,26 @@ let phases_json buf ~indent =
     hists;
   bpf "%s}" pad
 
+(* Gated phase p50s, read from the same registry as {!phases_json}.
+   Sub-0.1 ms baselines are coin flips on a noisy runner, so the
+   comparator skips a phase whose baseline sits below that floor. *)
+let phase_metrics names =
+  let hists = (Suu_obs.Registry.snapshot ()).Suu_obs.Registry.histograms in
+  List.map
+    (fun name ->
+      Record.metric ~noise_floor:0.1 ("phases." ^ name ^ ".p50_ms") ~unit:"ms"
+        Lower
+        (List.filter_map
+           (fun (n, h, hs) ->
+             if n = name then Some (1000.0 *. Suu_obs.Histogram.quantile h hs 0.5)
+             else None)
+           hists))
+    names
+
 (* Instrumentation overhead: the same greedy replication workload timed
    with the observability layer recording vs fully disabled
    (Registry.set_enabled false turns every span into a plain call).
-   The CI gate asserts the difference stays under 5%, so the measurement
+   The perf check holds the difference under 5%, so the measurement
    has to be calmer than that:
 
    - times are process-CPU (Sys.time), not wall-clock — the workload is
@@ -790,11 +818,6 @@ let measure_obs_overhead inst policy ~seed ~reps =
    SUU_PERF_SCALE=tiny shrinks everything to a CI smoke size. *)
 let perf_pipeline bechamel_rows =
   section "perf: simulation pipeline (engine step rate, multicore scaling)";
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
   let n, m, reps = if tiny then (16, 4, 8) else (128, 8, 48) in
   let seed = 777 in
   let inst = W.independent W.Near_one ~n ~m ~seed:4242 in
@@ -846,7 +869,7 @@ let perf_pipeline bechamel_rows =
      no LP, so span cost is not hidden behind solver time).  Always
      measured at the full instance size, even under SUU_PERF_SCALE=tiny:
      tiny runs last ~100us, where GC alignment and per-run fixed costs
-     swamp the few-percent signal the CI gate has to resolve. *)
+     swamp the few-percent signal the check has to resolve. *)
   let overhead_pct =
     let oi = W.independent W.Near_one ~n:128 ~m:8 ~seed:4242 in
     let og = Suu_core.Baselines.greedy_completion oi in
@@ -879,12 +902,8 @@ let perf_pipeline bechamel_rows =
         ("suu-i-obl", fun s -> Suu_core.Suu_i_obl.policy ~solver:s pinst);
       ]
   in
-  (* JSON record. *)
-  let buf = Buffer.create 4096 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"perf\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
+  let buf = artifact "perf" in
+  let bpf fmt = Printf.bprintf buf fmt in
   bpf "  \"available_domains\": %d,\n" cores;
   bpf "  \"obs_overhead_pct\": %.4g,\n" overhead_pct;
   bpf "  \"engine\": {\n";
@@ -928,12 +947,43 @@ let perf_pipeline bechamel_rows =
   bpf "  },\n";
   bpf "  \"phases\": ";
   phases_json buf ~indent:2;
-  bpf "\n";
-  bpf "}\n";
-  let oc = open_out "BENCH_perf.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_perf.json"
+  bpf ",\n";
+  let ns name =
+    List.fold_left
+      (fun acc (n, est, _) -> if n = "suu " ^ name then est else acc)
+      Float.nan bechamel_rows
+  in
+  (* Warm-vs-cold is a within-run ratio, immune to runner speed.  The 5x
+     floor holds on the full doubling sequence; tiny runs solve a shorter
+     sequence (fewer rounds amortizing each factorization), so 3x there. *)
+  let warm_speedup = ns "lp1-simplex-seq-64x8" /. ns "lp1-revised-warm-seq-64x8" in
+  let parity_band = 1.25 in
+  let checks =
+    Record.check "obs_overhead_pct" overhead_pct Lt 5.0
+    :: Record.check "lp1_warm_vs_cold_speedup" warm_speedup Ge
+         (if tiny then 3.0 else 5.0)
+    :: List.map
+         (fun (d, _, _, same) ->
+           Record.holds (Printf.sprintf "ratio_sweep.parallel.%d.bit_identical" d) same)
+         par_rows
+    (* switching the LP backend must not move SEM/OBL schedule quality
+       out of the band *)
+    @ List.concat_map
+        (fun (pname, _, _, ratio) ->
+          let name = Printf.sprintf "solver_parity.%s.ratio" pname in
+          [ Record.check name ratio Ge (1.0 /. parity_band);
+            Record.check name ratio Le parity_band ])
+        parity
+  in
+  let metrics =
+    [ Record.metric "engine.steps_per_sec" ~unit:"1/s" Higher [ step_rate ];
+      Record.metric "ratio_sweep.sequential_sec" ~unit:"s" Lower [ seq_t ];
+      (* certified MWU must stay the cheap serve-path default *)
+      Record.metric "bechamel_ns_per_run.suu lp1-mwu-certified-64x8" ~unit:"ns"
+        Lower [ ns "lp1-mwu-certified-64x8" ] ]
+    @ phase_metrics [ "engine.exec"; "lp1.solve"; "lp.rounding" ]
+  in
+  Record.emit ~experiment:"perf" buf checks metrics
 
 let perf () =
   section "perf: bechamel micro-benchmarks (ns per run, OLS estimate)";
@@ -948,7 +998,7 @@ let perf () =
     | Some c -> c
     | None -> assert false
   in
-  let tiny = W.independent uniform ~n:4 ~m:2 ~seed:9 in
+  let tiny_inst = W.independent uniform ~n:4 ~m:2 ~seed:9 in
   let stoch_inst =
     let rng = Suu_prng.Rng.create ~seed:10 in
     let rates = Array.init 16 (fun _ -> Suu_prng.Rng.range rng ~lo:0.3 ~hi:3.0) in
@@ -1028,7 +1078,7 @@ let perf () =
       Test.make ~name:"greedy-execution-64x8"
         (Staged.stage (fun () -> run_greedy ()));
       Test.make ~name:"exact-dp-4x2"
-        (Staged.stage (fun () -> Suu_core.Exact_dp.expected_makespan tiny));
+        (Staged.stage (fun () -> Suu_core.Exact_dp.expected_makespan tiny_inst));
       Test.make ~name:"bvn-decompose-16x4"
         (Staged.stage (fun () ->
              Suu_stoch.Bvn.decompose ~m:4 ~n:16 ~x:ll_sol.Suu_stoch.Ll_lp.x
@@ -1089,17 +1139,78 @@ let perf () =
    simulate request must produce byte-identical responses regardless
    of worker and domain counts. *)
 
-(* serve --connections N: the connection-scale pass.  One thread
-   multiplexes N non-blocking sockets over the same {!Suu_server.Reactor}
-   abstraction the server's loop uses (500 client threads would measure
-   the bench, not the server), pipelines a few describe requests on each,
-   and byte-compares every reply against a reference frame re-serialized
+(* The instance pools the service benches draw requests from: one
+   instance per shape class for serve, shard and synthetic open-loop
+   arrivals, and a three-instance pool for both chaos scenarios. *)
+let serve_pool () =
+  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
+  [|
+    W.independent uniform ~n:12 ~m:4 ~seed:21;
+    W.independent W.Near_one ~n:16 ~m:4 ~seed:22;
+    W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:23;
+    W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:24;
+  |]
+
+let chaos_pool () =
+  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
+  [|
+    W.independent uniform ~n:12 ~m:4 ~seed:31;
+    W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:32;
+    W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:33;
+  |]
+
+(* Closed-loop load: [clients] threads, client [i] on its own
+   connection ([connect i]) drawing requests with [pick_body] from an
+   Rng seeded [seed + i], each issuing [per_client] calls back to back
+   and then [after_call ()].  Returns the wall time and every call's
+   (latency in seconds, outcome); a transport failure is an [`Error]. *)
+let closed_loop ?(after_call = ignore) ~clients ~per_client ~seed ~connect
+    pick_body =
+  let module Client = Suu_server.Client in
+  let module P = Suu_server.Protocol in
+  let t0 = Unix.gettimeofday () in
+  let slots = Array.make clients [] in
+  let threads =
+    List.init clients (fun i ->
+        Thread.create
+          (fun () ->
+            let rng = Suu_prng.Rng.create ~seed:(seed + i) in
+            let c = connect i in
+            let calls = ref [] in
+            for _ = 1 to per_client do
+              let body = pick_body rng in
+              let s = Unix.gettimeofday () in
+              let outcome =
+                match Client.call c body with
+                | P.Ok _ -> `Ok
+                | P.Err { code = P.Overloaded; _ } -> `Rejected
+                | P.Err _ -> `Error
+                | exception (Client.Protocol_failure _ | Unix.Unix_error _) ->
+                    `Error
+              in
+              calls := (Unix.gettimeofday () -. s, outcome) :: !calls;
+              after_call ()
+            done;
+            Client.close c;
+            slots.(i) <- !calls)
+          ())
+  in
+  List.iter Thread.join threads;
+  (Unix.gettimeofday () -. t0, List.concat (Array.to_list slots))
+
+let count_outcome o calls =
+  List.fold_left (fun a (_, o') -> if o' = o then a + 1 else a) 0 calls
+
+(* The connection-scale pass.  One thread multiplexes 500 non-blocking
+   sockets over the same {!Suu_server.Reactor} abstraction the server's
+   loop uses (500 client threads would measure the bench, not the
+   server), pipelines a few describe requests on each, and
+   byte-compares every reply against a reference frame re-serialized
    with the per-request id.  Replies interleave freely across workers, so
    each connection's frames are compared as a multiset.  Returns the JSON
-   object embedded as BENCH_serve.json's "connection_scale" section plus
-   the dropped/mismatched counts the caller fails on. *)
-
-let connections_target = ref 500
+   object embedded as BENCH_serve.json's "connection_scale" section and
+   its checks: the loop must hold >= 500 connections with zero drops and
+   byte-exact replies. *)
 
 type cs_conn = {
   cs_fd : Unix.file_descr;
@@ -1136,7 +1247,7 @@ let connection_scale () =
   let module Client = Suu_server.Client in
   let module Reactor = Suu_server.Reactor in
   let module P = Suu_server.Protocol in
-  let conns = max 1 !connections_target in
+  let conns = 500 in
   let pipelined = 4 in
   note "";
   section
@@ -1283,7 +1394,10 @@ let connection_scale () =
       conns pipelined ok dropped mismatched wall
       (float_of_int (ok * pipelined) /. wall)
   in
-  (json, dropped, mismatched)
+  ( json,
+    [ Record.count "connection_scale.connections" conns Ge 500;
+      Record.count "connection_scale.dropped" dropped Eq 0;
+      Record.count "connection_scale.mismatched" mismatched Eq 0 ] )
 
 (* serve --workload SPEC: the open-loop replay pass.  Unlike the
    closed-loop clients above (which submit as fast as the server
@@ -1298,7 +1412,7 @@ let connection_scale () =
    backlog under bursts) and end-to-end latency (full response frame
    minus scheduled time).  The whole replay runs twice at the same seed
    and the (id, frame) multisets must be byte-identical; the result is
-   the "workload" section of BENCH_serve.json. *)
+   the "workload" section of BENCH_serve.json, with its checks. *)
 
 let workload_spec : string option ref = ref None
 
@@ -1465,7 +1579,7 @@ let open_loop_run ~port ~nconns ~reqs =
    SWF traces supply both timestamps and instances; synthetic specs
    draw timestamps from {!Arrivals} and cycle a fixed instance pool.
    Long traces are compressed to [target_span] seconds of replay. *)
-let open_loop_requests ~tiny spec =
+let open_loop_requests spec =
   let module A = Suu_workload.Arrivals in
   let module Swf = Suu_workload.Swf in
   let module P = Suu_server.Protocol in
@@ -1483,16 +1597,7 @@ let open_loop_requests ~tiny spec =
         | Ok sp ->
             let count = if tiny then 60 else 240 in
             let times = A.take (A.create ~seed:11 sp) count in
-            let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
-            let pool =
-              [|
-                W.independent uniform ~n:12 ~m:4 ~seed:21;
-                W.independent W.Near_one ~n:16 ~m:4 ~seed:22;
-                W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:23;
-                W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4
-                  ~seed:24;
-              |]
-            in
+            let pool = serve_pool () in
             let insts =
               Array.init (Array.length times) (fun k ->
                   pool.(k mod Array.length pool))
@@ -1529,13 +1634,14 @@ let open_loop_requests ~tiny spec =
   (reqs, label, span, compression)
 
 (* The full pass: fresh server, two identical replays, byte-compare.
-   Returns the JSON object for the "workload" section plus the
-   failure counts the caller aborts on. *)
-let open_loop_replay ~tiny spec =
+   Returns the JSON object for the "workload" section and its checks:
+   every arrival completes, the two replays agree byte for byte, and
+   the latency quantiles are present. *)
+let open_loop_replay spec =
   let module Server = Suu_server.Server in
   note "";
   section (Printf.sprintf "serve open-loop workload replay: %s" spec);
-  let reqs, label, span, compression = open_loop_requests ~tiny spec in
+  let reqs, label, span, compression = open_loop_requests spec in
   let n = Array.length reqs in
   let nconns = max 1 (min 16 n) in
   let config =
@@ -1586,18 +1692,18 @@ let open_loop_replay ~tiny spec =
       (quant qarr 0.95) (quant qarr 1.0) (quant earr 0.5) (quant earr 0.95)
       (quant earr 0.99) (quant earr 1.0) deterministic
   in
-  (json, incomplete, deterministic)
+  ( json,
+    [ Record.count "workload.incomplete" incomplete Eq 0;
+      Record.holds "workload.deterministic_replay" deterministic;
+      Record.check "workload.queueing_ms.p50" (quant qarr 0.5) Ge 0.0;
+      Record.check "workload.e2e_ms.p50" (quant earr 0.5) Ge 0.0;
+      Record.check "workload.e2e_ms.p95" (quant earr 0.95) Ge 0.0 ] )
 
 let serve_bench () =
   section "serve: suu-serve load test (in-process daemon, closed-loop clients)";
   let module Server = Suu_server.Server in
   let module Client = Suu_server.Client in
   let module P = Suu_server.Protocol in
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
   let clients = if tiny then 4 else 8 in
   let per_client = if tiny then 30 else 250 in
   let sim_reps = if tiny then 12 else 48 in
@@ -1605,15 +1711,7 @@ let serve_bench () =
   let config = { Server.default_config with workers; queue_capacity } in
   let server = Server.start ~config () in
   let port = Server.port server in
-  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
-  let pool =
-    [|
-      W.independent uniform ~n:12 ~m:4 ~seed:21;
-      W.independent W.Near_one ~n:16 ~m:4 ~seed:22;
-      W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:23;
-      W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:24;
-    |]
-  in
+  let pool = serve_pool () in
   (* Mixed closed-loop distribution: simulate dominates (it is the
      expensive request), a slice of it rides the LP-free online tier
      (lzf/backfill, counted as plan-cache bypasses), and the rest
@@ -1632,31 +1730,11 @@ let serve_bench () =
     else if roll < 95 then P.Lower_bound inst
     else P.Stats
   in
-  let t0 = Unix.gettimeofday () in
-  let slots = Array.make clients ([], 0, 0, 0) in
-  let client_threads =
-    List.init clients (fun i ->
-        Thread.create
-          (fun () ->
-            let rng = Suu_prng.Rng.create ~seed:(9000 + i) in
-            let c = Client.connect ~port () in
-            let lats = ref [] and ok = ref 0 and rej = ref 0 and err = ref 0 in
-            for _ = 1 to per_client do
-              let body = pick_body rng in
-              let s = Unix.gettimeofday () in
-              (match Client.call c body with
-              | P.Ok _ -> incr ok
-              | P.Err { code = P.Overloaded; _ } -> incr rej
-              | P.Err _ -> incr err);
-              lats := (Unix.gettimeofday () -. s) :: !lats
-            done;
-            Client.close c;
-            slots.(i) <- (!lats, !ok, !rej, !err))
-          ())
+  let wall, calls =
+    closed_loop ~clients ~per_client ~seed:9000
+      ~connect:(fun _ -> Client.connect ~port ())
+      pick_body
   in
-  List.iter Thread.join client_threads;
-  let results = Array.to_list slots in
-  let wall = Unix.gettimeofday () -. t0 in
   let stats_fields =
     let c = Client.connect ~port () in
     let fields = Client.stats c () in
@@ -1664,13 +1742,10 @@ let serve_bench () =
     fields
   in
   Server.stop server;
-  let lats =
-    Array.of_list (List.concat_map (fun (l, _, _, _) -> l) results)
-  in
-  let sum f = List.fold_left (fun a r -> a + f r) 0 results in
-  let ok = sum (fun (_, k, _, _) -> k) in
-  let rejects = sum (fun (_, _, r, _) -> r) in
-  let errors = sum (fun (_, _, _, e) -> e) in
+  let lats = Array.of_list (List.map fst calls) in
+  let ok = count_outcome `Ok calls in
+  let rejects = count_outcome `Rejected calls in
+  let errors = count_outcome `Error calls in
   let total = Array.length lats in
   let q p = 1000.0 *. Summary.quantile lats p in
   note "clients=%d requests=%d wall=%.2fs throughput=%.1f req/s" clients
@@ -1719,17 +1794,17 @@ let serve_bench () =
      cheap describes. *)
   let phases_buf = Buffer.create 512 in
   phases_json phases_buf ~indent:2;
-  let cs_json, cs_dropped, cs_mismatched = connection_scale () in
-  let wl =
-    match !workload_spec with
-    | None -> None
-    | Some spec -> Some (open_loop_replay ~tiny spec)
+  let phases =
+    phase_metrics [ "server.request"; "server.execute"; "server.queue_wait" ]
   in
-  let buf = Buffer.create 2048 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"serve\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
+  let cs_json, cs_checks = connection_scale () in
+  let wl_json, wl_checks =
+    match !workload_spec with
+    | None -> ("null", [])
+    | Some spec -> open_loop_replay spec
+  in
+  let buf = artifact "serve" in
+  let bpf fmt = Printf.bprintf buf fmt in
   bpf "  \"config\": {\"clients\": %d, \"per_client\": %d, \"workers\": %d, \
        \"queue_capacity\": %d, \"sim_reps\": %d},\n"
     clients per_client workers queue_capacity sim_reps;
@@ -1753,54 +1828,62 @@ let serve_bench () =
   bpf "  \"solver\": \"%s\",\n" (cache_stat "solver");
   bpf "  \"deterministic_over_the_wire\": %b,\n" deterministic;
   bpf "  \"connection_scale\": %s,\n" cs_json;
-  (* null when the bench ran without --workload: the gate only audits
-     the open-loop section when a replay actually happened. *)
-  bpf "  \"workload\": %s,\n"
-    (match wl with Some (j, _, _) -> j | None -> "null");
+  (* null when the bench ran without --workload, which then declares no
+     open-loop checks *)
+  bpf "  \"workload\": %s,\n" wl_json;
   (* The load-tested server runs in this process, so the registry holds
      its request-phase spans (parse / queue_wait / execute / write). *)
-  bpf "  \"phases\": %s\n" (Buffer.contents phases_buf);
-  bpf "}\n";
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_serve.json";
-  if errors > 0 then failwith "serve bench saw unexpected error responses";
-  if not deterministic then
-    failwith "serve bench: simulate responses differ across worker counts";
-  if cs_dropped > 0 || cs_mismatched > 0 then
-    failwith
-      (Printf.sprintf
-         "serve bench connection-scale: %d dropped, %d mismatched connections"
-         cs_dropped cs_mismatched);
-  match wl with
-  | None -> ()
-  | Some (_, incomplete, wl_deterministic) ->
-      if incomplete > 0 then
-        failwith
-          (Printf.sprintf
-             "serve bench workload replay: %d arrivals never completed"
-             incomplete);
-      if not wl_deterministic then
-        failwith
-          "serve bench workload replay: responses differ across two runs at \
-           the same seed"
+  bpf "  \"phases\": %s,\n" (Buffer.contents phases_buf);
+  let stat k = Option.value (float_of_string_opt (cache_stat k)) ~default:Float.nan in
+  let checks =
+    [ Record.count "errors" errors Eq 0;
+      Record.holds "deterministic_over_the_wire" deterministic;
+      (* The request mix recurs, so a hit rate under the floor means the
+         keying or eviction regressed (the pre-fix thrash measured ~11%). *)
+      Record.check "plan_cache_hit_rate" (stat "plan_cache_hit_rate") Ge 0.8;
+      (* LP-free lzf/backfill requests must register as bypasses rather
+         than silently diluting the hit rate. *)
+      Record.check "plan_cache_bypass" (stat "plan_cache_bypass") Gt 0.0 ]
+    @ cs_checks @ wl_checks
+  in
+  let metrics =
+    Record.metric "throughput_rps" ~unit:"1/s" Higher
+      [ float_of_int total /. wall ]
+    :: Record.metric "latency_ms.p50" ~unit:"ms" Lower [ q 0.5 ]
+    :: phases
+  in
+  Record.emit ~experiment:"serve" buf checks metrics
 
 (* ------------------------------------------------------------------ *)
 (* chaos — the fault-tolerance harness: an in-process server with the
    fault injector armed (dropped, delayed, corrupted and torn replies,
    plus injected worker crashes) hammered by retrying clients.  The
    claim under test is that bounded retries recover EVERY request —
-   success_rate below 1.0 fails the bench (and the gate), because a
-   lost request under these fault rates means the retry logic, not the
-   network, is broken. *)
+   success_rate below 1.0 fails the bench, because a lost request under
+   these fault rates means the retry logic, not the network, is
+   broken. *)
 
-(* chaos --router: two in-process shards behind a router; the shard
-   owning the first pool instance's keys is stopped mid-load.  The
-   router must mark it down, re-route its keyspace, and every client
-   request must still complete — the scale-out analogue of the
+(* [counter_deltas names] samples the named registry counters; calling
+   the result samples them again and returns each one's delta, so a
+   bench reports its own run even when others ran first in the same
+   process. *)
+let counter_deltas names =
+  let sample () =
+    List.map
+      (fun n -> (n, Suu_obs.Counter.get (Suu_obs.Registry.counter n)))
+      names
+  in
+  let before = sample () in
+  fun () ->
+    let after = sample () in
+    fun n -> List.assoc n after - List.assoc n before
+
+(* The router scenario: two in-process shards behind a router; the
+   shard owning the first pool instance's keys is stopped mid-load.
+   The router must mark it down, re-route its keyspace, and every
+   client request must still complete — the scale-out analogue of the
    single-server retry claim below.  Returns the JSON object embedded
-   as BENCH_chaos.json's "router" section. *)
+   as BENCH_chaos.json's "router" section, with its checks. *)
 let chaos_router_run () =
   let module Server = Suu_server.Server in
   let module Client = Suu_server.Client in
@@ -1808,23 +1891,11 @@ let chaos_router_run () =
   let module Ring = Suu_router.Ring in
   let module P = Suu_server.Protocol in
   note "";
-  section "chaos --router: shard kill mid-load behind the router";
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
+  section "chaos router: shard kill mid-load behind the router";
   let clients = if tiny then 4 else 8 in
   let per_client = if tiny then 25 else 100 in
   let sim_reps = if tiny then 8 else 32 in
-  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
-  let pool =
-    [|
-      W.independent uniform ~n:12 ~m:4 ~seed:31;
-      W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:32;
-      W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:33;
-    |]
-  in
+  let pool = chaos_pool () in
   let pick_body rng =
     let inst = pool.(Suu_prng.Rng.int rng (Array.length pool)) in
     let roll = Suu_prng.Rng.int rng 100 in
@@ -1865,16 +1936,11 @@ let chaos_router_run () =
     | Some id -> (s2, id)
     | None -> assert false
   in
-  let tracked =
-    [ "router.route"; "router.failover"; "router.health.mark_down";
-      "router.health.mark_up" ]
+  let deltas =
+    counter_deltas
+      [ "router.route"; "router.failover"; "router.health.mark_down";
+        "router.health.mark_up" ]
   in
-  let sample () =
-    List.map
-      (fun n -> (n, Suu_obs.Counter.get (Suu_obs.Registry.counter n)))
-      tracked
-  in
-  let before = sample () in
   let total = clients * per_client in
   let progress = Atomic.make 0 in
   let killer =
@@ -1890,43 +1956,24 @@ let chaos_router_run () =
       ()
   in
   let port = Router.port router in
-  let t0 = Unix.gettimeofday () in
-  let slots = Array.make clients (0, 0) in
-  let threads =
-    List.init clients (fun i ->
-        Thread.create
-          (fun () ->
-            let rng = Suu_prng.Rng.create ~seed:(9200 + i) in
-            let c =
-              Client.connect ~port ~retries:8 ~timeout_ms:2_000 ~backoff_ms:5
-                ~retry_seed:(7200 + i) ()
-            in
-            let done_ = ref 0 and failed = ref 0 in
-            for _ = 1 to per_client do
-              (match Client.call c (pick_body rng) with
-              | P.Ok _ -> incr done_
-              | P.Err _ -> incr failed
-              | exception (Client.Protocol_failure _ | Unix.Unix_error _) ->
-                  incr failed);
-              Atomic.incr progress
-            done;
-            Client.close c;
-            slots.(i) <- (!done_, !failed))
-          ())
+  let wall, calls =
+    closed_loop ~clients ~per_client ~seed:9200
+      ~after_call:(fun () -> Atomic.incr progress)
+      ~connect:(fun i ->
+        Client.connect ~port ~retries:8 ~timeout_ms:2_000 ~backoff_ms:5
+          ~retry_seed:(7200 + i) ())
+      pick_body
   in
-  List.iter Thread.join threads;
   Thread.join killer;
-  let wall = Unix.gettimeofday () -. t0 in
   (* settle health state before reading it *)
   Router.check_health router;
   let live = List.length (Router.live_shards router) in
-  let after = sample () in
-  let delta n = List.assoc n after - List.assoc n before in
+  let delta = deltas () in
   Router.stop router;
   Server.stop s1;
   Server.stop s2;
-  let completed = Array.fold_left (fun a (d, _) -> a + d) 0 slots in
-  let failed = Array.fold_left (fun a (_, f) -> a + f) 0 slots in
+  let completed = count_outcome `Ok calls in
+  let failed = total - completed in
   let success_rate = float_of_int completed /. float_of_int total in
   note "router chaos: %d/%d completed (%.1f%%) wall=%.2fs" completed total
     (100.0 *. success_rate) wall;
@@ -1948,19 +1995,10 @@ let chaos_router_run () =
   bpf "    \"mark_down\": %d,\n" (delta "router.health.mark_down");
   bpf "    \"live_shards_after\": %d\n" live;
   bpf "  }";
-  if delta "router.health.mark_down" < 1 then
-    failwith "chaos --router: the dead shard was never marked down";
-  if success_rate < 1.0 then
-    failwith
-      (Printf.sprintf
-         "chaos --router: %d of %d requests lost despite failover" failed
-         total);
-  Buffer.contents buf
-
-(* Set by the --router flag on the bench command line; the chaos
-   experiment then runs the shard-kill scenario too and embeds its
-   section in BENCH_chaos.json (the gate requires it in CI). *)
-let chaos_router_enabled = ref false
+  ( Buffer.contents buf,
+    [ Record.check "router.success_rate" success_rate Ge 1.0;
+      Record.count "router.mark_down" (delta "router.health.mark_down") Ge 1;
+      Record.count "router.live_shards_after" live Ge 1 ] )
 
 let chaos_bench () =
   section "chaos: fault-injected suu-serve vs retrying clients";
@@ -1968,11 +2006,6 @@ let chaos_bench () =
   let module Client = Suu_server.Client in
   let module Faults = Suu_server.Faults in
   let module P = Suu_server.Protocol in
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
   let clients = if tiny then 4 else 8 in
   let per_client = if tiny then 25 else 150 in
   let sim_reps = if tiny then 8 else 32 in
@@ -1986,36 +2019,22 @@ let chaos_bench () =
     | Result.Ok c -> c
     | Result.Error msg -> failwith ("chaos bench: bad fault spec: " ^ msg)
   in
-  (* The injector, the server workers and the clients all share this
-     process's registry; counters are sampled before and after so the
-     artifact reports this run's deltas even when other benches ran
-     first in the same process. *)
-  let tracked =
-    [ "faults.injected.drop"; "faults.injected.delay";
-      "faults.injected.error"; "faults.injected.kill";
-      "faults.injected.crash"; "server.worker.restarts"; "client.retries";
-      "client.timeouts"; "client.reconnects"; "client.giveups" ]
+  (* the injector, the server workers and the clients all count into
+     this process's registry *)
+  let deltas =
+    counter_deltas
+      [ "faults.injected.drop"; "faults.injected.delay";
+        "faults.injected.error"; "faults.injected.kill";
+        "faults.injected.crash"; "server.worker.restarts"; "client.retries";
+        "client.timeouts"; "client.reconnects"; "client.giveups" ]
   in
-  let sample () =
-    List.map
-      (fun n -> (n, Suu_obs.Counter.get (Suu_obs.Registry.counter n)))
-      tracked
-  in
-  let before = sample () in
   let config =
     { Server.default_config with
       workers; queue_capacity; faults = Some fault_config }
   in
   let server = Server.start ~config () in
   let port = Server.port server in
-  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
-  let pool =
-    [|
-      W.independent uniform ~n:12 ~m:4 ~seed:31;
-      W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:32;
-      W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:33;
-    |]
-  in
+  let pool = chaos_pool () in
   let pick_body rng =
     let inst = pool.(Suu_prng.Rng.int rng (Array.length pool)) in
     let roll = Suu_prng.Rng.int rng 100 in
@@ -2026,46 +2045,21 @@ let chaos_bench () =
     else if roll < 95 then P.Lower_bound inst
     else P.Stats
   in
-  let t0 = Unix.gettimeofday () in
-  let slots = Array.make clients ([], 0, 0) in
-  let client_threads =
-    List.init clients (fun i ->
-        Thread.create
-          (fun () ->
-            let rng = Suu_prng.Rng.create ~seed:(9100 + i) in
-            let c =
-              Client.connect ~port ~retries ~timeout_ms ~backoff_ms:5
-                ~retry_seed:(7100 + i) ()
-            in
-            let lats = ref [] and done_ = ref 0 and failed = ref 0 in
-            for _ = 1 to per_client do
-              let body = pick_body rng in
-              let s = Unix.gettimeofday () in
-              (match Client.call c body with
-              | P.Ok _ -> incr done_
-              | P.Err _ -> incr failed
-              | exception (Client.Protocol_failure _ | Unix.Unix_error _) ->
-                  incr failed);
-              lats := (Unix.gettimeofday () -. s) :: !lats
-            done;
-            Client.close c;
-            slots.(i) <- (!lats, !done_, !failed))
-          ())
+  let wall, calls =
+    closed_loop ~clients ~per_client ~seed:9100
+      ~connect:(fun i ->
+        Client.connect ~port ~retries ~timeout_ms ~backoff_ms:5
+          ~retry_seed:(7100 + i) ())
+      pick_body
   in
-  List.iter Thread.join client_threads;
-  let wall = Unix.gettimeofday () -. t0 in
   Server.stop server;
-  let results = Array.to_list slots in
-  let completed = List.fold_left (fun a (_, d, _) -> a + d) 0 results in
-  let failed = List.fold_left (fun a (_, _, f) -> a + f) 0 results in
+  let completed = count_outcome `Ok calls in
   let requests = clients * per_client in
+  let failed = requests - completed in
   let success_rate = float_of_int completed /. float_of_int requests in
-  let lats = Array.of_list (List.concat_map (fun (l, _, _) -> l) results) in
+  let lats = Array.of_list (List.map fst calls) in
   let q p = 1000.0 *. Summary.quantile lats p in
-  let after = sample () in
-  let delta name =
-    List.assoc name after - List.assoc name before
-  in
+  let delta = deltas () in
   let injected_total =
     List.fold_left
       (fun a n -> a + delta n)
@@ -2095,11 +2089,9 @@ let chaos_bench () =
     (delta "client.reconnects") (delta "client.giveups");
   note "latency ms (incl. retries): p50=%.2f p95=%.2f p99=%.2f max=%.2f"
     (q 0.5) (q 0.95) (q 0.99) (q 1.0);
-  let buf = Buffer.create 2048 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"chaos\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
+  let router_json, router_checks = chaos_router_run () in
+  let buf = artifact "chaos" in
+  let bpf fmt = Printf.bprintf buf fmt in
   bpf "  \"config\": {\"clients\": %d, \"per_client\": %d, \"workers\": %d, \
        \"queue_capacity\": %d, \"sim_reps\": %d, \"retries\": %d, \
        \"timeout_ms\": %d, \"faults\": \"%s\"},\n"
@@ -2127,21 +2119,18 @@ let chaos_bench () =
   bpf "  \"latency_ms\": {\"p50\": %.6g, \"p95\": %.6g, \"p99\": %.6g, \
        \"max\": %.6g},\n"
     (q 0.5) (q 0.95) (q 0.99) (q 1.0);
-  (match if !chaos_router_enabled then Some (chaos_router_run ()) else None with
-  | Some section -> bpf "  \"router\": %s\n" section
-  | None -> bpf "  \"router\": null\n");
-  bpf "}\n";
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_chaos.json";
-  if injected_total = 0 then
-    failwith "chaos bench: fault injector never fired";
-  if success_rate < 1.0 then
-    failwith
-      (Printf.sprintf
-         "chaos bench: %d of %d requests lost despite retries" failed
-         requests)
+  bpf "  \"router\": %s,\n" router_json;
+  let checks =
+    (* The run must actually have been chaotic: a disarmed injector or
+       inert faults would make the 100% claim vacuous. *)
+    [ Record.check "success_rate" success_rate Ge 1.0;
+      Record.count "injected.total" injected_total Gt 0;
+      Record.count "client_retries" (delta "client.retries") Gt 0 ]
+    @ router_checks
+  in
+  Record.emit ~experiment:"chaos" buf checks
+    [ Record.metric "throughput_rps" ~unit:"1/s" Higher
+        [ float_of_int requests /. wall ] ]
 
 (* ------------------------------------------------------------------ *)
 (* replay — the incremental-sweep experiment: a small Table-1-style
@@ -2156,19 +2145,14 @@ let chaos_bench () =
               [kill -9] mid-append leaves — and the full sweep re-runs
               over it.
 
-   The claim gated in CI: all four outputs are identical (memoized and
+   The checked claim: all four outputs are identical (memoized and
    resumed sweeps are certified equal to the direct computation), the
-   warm pass is served from the store, and recovery truncated the torn
-   tail.  Writes BENCH_replay.json. *)
+   warm pass is served entirely from the store, and recovery truncated
+   the torn tail.  Writes BENCH_replay.json. *)
 
 let replay_bench () =
   section "replay: store-memoized sweep - cold vs warm vs kill-resume";
   let module RS = Suu_store.Result_store in
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
   let sizes = if tiny then [ 8; 12 ] else [ 16; 32; 64 ] in
   let reps = if tiny then 10 else 40 in
   let m = 4 and seed = 515 in
@@ -2281,11 +2265,8 @@ let replay_bench () =
   note "outputs identical (direct=cold=warm): %b" identical;
   note "kill-resume output identical: %b (recovery truncated %d torn tail)"
     resumed_identical truncated;
-  let buf = Buffer.create 1024 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"replay\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
+  let buf = artifact "replay" in
+  let bpf fmt = Printf.bprintf buf fmt in
   bpf "  \"config\": {\"cells\": %d, \"reps\": %d, \"machines\": %d, \
        \"seed\": %d},\n"
     (List.length cells) reps m seed;
@@ -2298,25 +2279,18 @@ let replay_bench () =
   bpf "  \"warm_served\": %d,\n" warm_served;
   bpf "  \"warm_computed\": %d,\n" warm_computed;
   bpf "  \"store\": {\"keys\": %d, \"records\": %d, \"reps\": %d, \
-       \"file_bytes\": %d}\n"
+       \"file_bytes\": %d},\n"
     stats_a.RS.keys stats_a.RS.records stats_a.RS.reps stats_a.RS.file_bytes;
-  bpf "}\n";
-  let oc = open_out "BENCH_replay.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_replay.json";
   rm_rf dir_a;
   rm_rf dir_b;
-  if not identical then
-    failwith "replay bench: store-served sweep diverged from direct run";
-  if not resumed_identical then
-    failwith "replay bench: kill-resume sweep diverged from direct run";
-  if warm_served <> total_reps || warm_computed <> 0 then
-    failwith
-      (Printf.sprintf
-         "replay bench: warm pass not fully served (served=%d computed=%d \
-          of %d)"
-         warm_served warm_computed total_reps)
+  Record.emit ~experiment:"replay" buf
+    [ Record.holds "identical" identical;
+      Record.holds "resumed_identical" resumed_identical;
+      Record.count "warm_served" warm_served Eq total_reps;
+      Record.count "warm_computed" warm_computed Eq 0;
+      Record.count "torn_tail_truncated" truncated Gt 0;
+      Record.count "store.records" stats_a.RS.records Gt 0 ]
+    [ Record.metric "cold_sec" ~unit:"s" Lower [ cold_sec ] ]
 
 (* ------------------------------------------------------------------ *)
 (* shard — the scale-out experiment: the same closed-loop load measured
@@ -2325,9 +2299,12 @@ let replay_bench () =
    shards; then a byte-identity sweep proving every routed response is
    identical to the unrouted server's.  All servers share this
    process's plan cache, so a common warmup pass makes the comparison
-   about the wire path, not about who populated the cache first.
-   Writes BENCH_shard.json; the gate enforces the proxy-overhead floor
-   and byte identity. *)
+   about the wire path, not about who populated the cache first.  The
+   three loads run as [shard_passes] interleaved passes and the checks
+   and metrics take their medians: one tiny closed-loop pass on a
+   shared 2-core runner swings by ~2x.  Writes BENCH_shard.json. *)
+
+let shard_passes = 5
 
 let shard_bench () =
   section "shard: routed vs direct suu-serve (proxy overhead, byte identity)";
@@ -2335,24 +2312,11 @@ let shard_bench () =
   let module Client = Suu_server.Client in
   let module Router = Suu_router.Router in
   let module P = Suu_server.Protocol in
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
   let clients = if tiny then 4 else 8 in
   let per_client = if tiny then 30 else 250 in
   let sim_reps = if tiny then 32 else 160 in
   let workers = 4 and queue_capacity = 64 in
-  let uniform = W.Uniform { lo = 0.2; hi = 0.95 } in
-  let pool =
-    [|
-      W.independent uniform ~n:12 ~m:4 ~seed:21;
-      W.independent W.Near_one ~n:16 ~m:4 ~seed:22;
-      W.random_chains uniform ~n:12 ~z:3 ~m:4 ~seed:23;
-      W.forest uniform ~n:12 ~trees:2 ~orientation:`Mixed ~m:4 ~seed:24;
-    |]
-  in
+  let pool = serve_pool () in
   (* Simulate-heavy mix: the proxy-overhead ratio is only meaningful
      under a compute-bound load; a ping-pong mix would just measure
      the extra hop twice. *)
@@ -2367,35 +2331,19 @@ let shard_bench () =
     else P.Stats
   in
   (* One closed-loop measurement against whatever is listening on
-     [port]; returns (rps, ok, errors). *)
-  let run_load ~port =
-    let t0 = Unix.gettimeofday () in
-    let slots = Array.make clients (0, 0) in
-    let threads =
-      List.init clients (fun i ->
-          Thread.create
-            (fun () ->
-              let rng = Suu_prng.Rng.create ~seed:(9300 + i) in
-              let c = Client.connect ~port ~retries:2 ~timeout_ms:30_000 () in
-              let ok = ref 0 and err = ref 0 in
-              for _ = 1 to per_client do
-                (match Client.call c (pick_body rng) with
-                | P.Ok _ -> incr ok
-                | P.Err _ -> incr err
-                | exception (Client.Protocol_failure _ | Unix.Unix_error _)
-                  ->
-                    incr err);
-                ()
-              done;
-              Client.close c;
-              slots.(i) <- (!ok, !err))
-            ())
+     [port]: returns its throughput, tallies its error replies. *)
+  let errors = ref 0 in
+  let load label port =
+    let wall, calls =
+      closed_loop ~clients ~per_client ~seed:9300
+        ~connect:(fun _ -> Client.connect ~port ~retries:2 ~timeout_ms:30_000 ())
+        pick_body
     in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    let ok = Array.fold_left (fun a (k, _) -> a + k) 0 slots in
-    let err = Array.fold_left (fun a (_, e) -> a + e) 0 slots in
-    (float_of_int (clients * per_client) /. wall, ok, err)
+    let ok = count_outcome `Ok calls in
+    let rps = float_of_int (clients * per_client) /. wall in
+    note "%s %.1f req/s (ok=%d err=%d)" label rps ok (List.length calls - ok);
+    errors := !errors + List.length calls - ok;
+    rps
   in
   let config = { Server.default_config with workers; queue_capacity } in
   let attach_spec s =
@@ -2417,34 +2365,40 @@ let shard_bench () =
     Server.stop s
   in
   warm ();
-  (* (a) direct *)
-  let direct = Server.start ~config () in
-  let rps_direct, ok_d, err_d = run_load ~port:(Server.port direct) in
-  Server.stop direct;
-  note "direct:   %.1f req/s (ok=%d err=%d)" rps_direct ok_d err_d;
-  (* (b) routed, one shard: the pure cost of the extra hop *)
   let c_route = Suu_obs.Registry.counter "router.route" in
   let route_before = Suu_obs.Counter.get c_route in
-  let s1 = Server.start ~config () in
-  let r1 = Router.start ~shards:[ attach_spec s1 ] () in
-  let rps_routed1, ok_r1, err_r1 = run_load ~port:(Router.port r1) in
-  Router.stop r1;
-  Server.stop s1;
-  note "routed-1: %.1f req/s (ok=%d err=%d)" rps_routed1 ok_r1 err_r1;
-  (* (c) routed, two shards *)
-  let sa = Server.start ~config () in
-  let sb = Server.start ~config () in
-  let r2 = Router.start ~shards:[ attach_spec sa; attach_spec sb ] () in
-  let rps_routed2, ok_r2, err_r2 = run_load ~port:(Router.port r2) in
-  let routed_requests =
-    Suu_obs.Counter.get c_route - route_before
+  let passes =
+    List.init shard_passes (fun k ->
+        note "pass %d/%d" (k + 1) shard_passes;
+        (* (a) direct *)
+        let direct = Server.start ~config () in
+        let d = load "  direct:  " (Server.port direct) in
+        Server.stop direct;
+        (* (b) routed, one shard: the pure cost of the extra hop *)
+        let s1 = Server.start ~config () in
+        let r1 = Router.start ~shards:[ attach_spec s1 ] () in
+        let r1_rps = load "  routed-1:" (Router.port r1) in
+        Router.stop r1;
+        Server.stop s1;
+        (* (c) routed, two shards *)
+        let sa = Server.start ~config () in
+        let sb = Server.start ~config () in
+        let r2 = Router.start ~shards:[ attach_spec sa; attach_spec sb ] () in
+        let r2_rps = load "  routed-2:" (Router.port r2) in
+        Router.stop r2;
+        Server.stop sa;
+        Server.stop sb;
+        (d, r1_rps, r2_rps, r1_rps /. d))
   in
-  Router.stop r2;
-  Server.stop sa;
-  Server.stop sb;
-  note "routed-2: %.1f req/s (ok=%d err=%d)" rps_routed2 ok_r2 err_r2;
-  let ratio1 = rps_routed1 /. rps_direct in
-  note "proxy overhead: routed-1 at %.1f%% of direct" (100.0 *. ratio1);
+  let routed_requests = Suu_obs.Counter.get c_route - route_before in
+  let column f = List.map f passes in
+  let direct_rps = column (fun (d, _, _, _) -> d)
+  and routed1_rps = column (fun (_, r, _, _) -> r)
+  and routed2_rps = column (fun (_, _, r, _) -> r)
+  and ratios = column (fun (_, _, _, x) -> x) in
+  let ratio1 = Record.median ratios in
+  note "proxy overhead: routed-1 at %.1f%% of direct (median of %d passes)"
+    (100.0 *. ratio1) shard_passes;
   (* Byte-identity sweep: every request type over every pool instance,
      raw frames compared between a direct server and the 2-shard
      router.  [stats] is excluded — a merged cluster view is not a
@@ -2504,39 +2458,48 @@ let shard_bench () =
     (List.length sweep_requests - mismatches)
     (List.length sweep_requests)
     (if byte_identical then "" else "  << MISMATCH");
-  let buf = Buffer.create 2048 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"shard\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
+  let buf = artifact "shard" in
+  let bpf fmt = Printf.bprintf buf fmt in
   bpf "  \"config\": {\"clients\": %d, \"per_client\": %d, \"workers\": %d, \
        \"queue_capacity\": %d, \"sim_reps\": %d},\n"
     clients per_client workers queue_capacity sim_reps;
-  bpf "  \"direct_rps\": %.6g,\n" rps_direct;
-  bpf "  \"routed_1shard_rps\": %.6g,\n" rps_routed1;
-  bpf "  \"routed_2shard_rps\": %.6g,\n" rps_routed2;
+  (* medians over the passes, each pass listed below *)
+  bpf "  \"direct_rps\": %.6g,\n" (Record.median direct_rps);
+  bpf "  \"routed_1shard_rps\": %.6g,\n" (Record.median routed1_rps);
+  bpf "  \"routed_2shard_rps\": %.6g,\n" (Record.median routed2_rps);
   bpf "  \"routed_vs_direct\": %.6g,\n" ratio1;
+  bpf "  \"passes\": [%s],\n"
+    (String.concat ", "
+       (List.map
+          (fun (d, r1, r2, x) ->
+            Printf.sprintf
+              "{\"direct_rps\": %.6g, \"routed_1shard_rps\": %.6g, \
+               \"routed_2shard_rps\": %.6g, \"routed_vs_direct\": %.6g}"
+              d r1 r2 x)
+          passes));
   bpf "  \"routed_requests\": %d,\n" routed_requests;
-  bpf "  \"errors\": %d,\n" (err_d + err_r1 + err_r2);
+  bpf "  \"errors\": %d,\n" !errors;
   bpf "  \"sweep_requests\": %d,\n" (List.length sweep_requests);
   bpf "  \"sweep_mismatches\": %d,\n" mismatches;
-  bpf "  \"byte_identical\": %b\n" byte_identical;
-  bpf "}\n";
-  let oc = open_out "BENCH_shard.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_shard.json";
-  if err_d + err_r1 + err_r2 > 0 then
-    failwith "shard bench saw error responses";
-  if not byte_identical then
-    failwith "shard bench: routed responses differ from direct server"
+  bpf "  \"byte_identical\": %b,\n" byte_identical;
+  Record.emit ~experiment:"shard" buf
+    [ (* byte identity is the sharding contract *)
+      Record.holds "byte_identical" byte_identical;
+      Record.count "errors" !errors Eq 0;
+      Record.count "routed_requests" routed_requests Gt 0;
+      (* Proxy overhead is a within-run ratio, immune to runner speed.
+         Full scale holds the 15% acceptance bound; tiny requests are
+         cheap enough that the hop looms larger. *)
+      Record.check "routed_vs_direct" ratio1 Ge (if tiny then 0.6 else 0.85) ]
+    [ Record.metric "direct_rps" ~unit:"1/s" Higher direct_rps;
+      Record.metric "routed_2shard_rps" ~unit:"1/s" Higher routed2_rps ]
 
 (* ------------------------------------------------------------------ *)
 (* table1 — the Table-1 harness extended with the online family: for a
    matrix of synthetic and SWF trace-driven instances, measure every
    applicable registered policy's ratio-to-lower-bound AND its steps/sec
    (engine steps driven per wall second, policy construction included —
-   the serve-path cost of choosing that policy).  The gate asserts the
+   the serve-path cost of choosing that policy).  Its checks assert the
    online tier's reason to exist: LZF must drive steps at least 5x
    faster than SUU-I-SEM on the same instances, and on single-machine
    near-one instances (where the work bound is tight) its measured
@@ -2551,11 +2514,6 @@ let table1 () =
      - ratio to lower bound + steps/sec";
   Suu_sched.Register.ensure ();
   let module R = Suu_core.Policy_registry in
-  let tiny =
-    match Sys.getenv_opt "SUU_PERF_SCALE" with
-    | Some "tiny" -> true
-    | _ -> false
-  in
   let n = if tiny then 12 else 32 in
   let reps = if tiny then 6 else 20 in
   let swf_take = if tiny then 4 else 10 in
@@ -2710,11 +2668,8 @@ let table1 () =
     in
     (mean rs, mean ss, List.length rs)
   in
-  let buf = Buffer.create 4096 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  bpf "{\n";
-  bpf "  \"experiment\": \"table1\",\n";
-  bpf "  \"scale\": \"%s\",\n" (if tiny then "tiny" else "full");
+  let buf = artifact "table1" in
+  let bpf fmt = Printf.bprintf buf fmt in
   bpf "  \"config\": {\"n\": %d, \"reps\": %d, \"sm_reps\": %d},\n" n reps
     sm_reps;
   bpf "  \"lzf_bound\": %.6g,\n" lzf_bound;
@@ -2757,12 +2712,39 @@ let table1 () =
         cols;
       bpf "]}%s\n" (if i = List.length all_rows - 1 then "" else ","))
     all_rows;
-  bpf "  ]\n";
-  bpf "}\n";
-  let oc = open_out "BENCH_table1.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  note "\nwrote BENCH_table1.json"
+  bpf "  ],\n";
+  let checks =
+    (* the ratio table must span synthetic and trace-driven instances *)
+    [ Record.count "synthetic_rows" (List.length synthetic) Ge 1;
+      Record.count "swf_rows" (List.length swf) Ge 1;
+      (* Cold-path speedup: LZF never touches the LP pipeline.  5x is the
+         full-scale criterion; tiny instances (n=12) solve LPs in
+         microseconds, down in the timer noise, so 2x there. *)
+      Record.check "lzf_vs_sem_speedup_min" speedup_min Ge
+        (if tiny then 2.0 else 5.0) ]
+    @ List.map
+        (fun (name, r) ->
+          Record.check
+            (Printf.sprintf "single_machine_lzf.%s.ratio" name)
+            r Le lzf_bound)
+        single_machine
+    (* the online policies and the LP reference, with sane means *)
+    @ List.concat_map
+        (fun p ->
+          let r, s, _ = aggregate p in
+          [ Record.check (Printf.sprintf "policies.%s.mean_ratio" p) r Gt 0.0;
+            Record.check
+              (Printf.sprintf "policies.%s.mean_steps_per_sec" p)
+              s Gt 0.0 ])
+        [ "lzf"; "backfill"; "suu-i-sem" ]
+  in
+  (* One jitter-banded throughput comparison, to catch an
+     order-of-magnitude LZF hot-path regression the within-run ratio
+     would forgive (both policies slowing down together). *)
+  let _, lzf_sps, lzf_rows = aggregate "lzf" in
+  Record.emit ~experiment:"table1" buf checks
+    [ Record.metric "policies.lzf.mean_steps_per_sec" ~unit:"steps/s" Higher
+        (if lzf_rows > 0 then [ lzf_sps ] else []) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -2781,21 +2763,6 @@ let () =
   in
   let rec parse acc = function
     | [] -> List.rev acc
-    | "--router" :: rest ->
-        chaos_router_enabled := true;
-        parse acc rest
-    | "--connections" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n > 0 ->
-            connections_target := n;
-            parse acc rest
-        | _ ->
-            Printf.eprintf "--connections expects a positive integer, got %S\n"
-              n;
-            exit 2)
-    | "--connections" :: [] ->
-        prerr_endline "--connections expects a positive integer";
-        exit 2
     | "--workload" :: spec :: rest ->
         workload_spec := Some spec;
         parse acc rest

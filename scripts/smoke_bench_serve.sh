@@ -1,20 +1,14 @@
 #!/bin/sh
-# Serve-bench smoke: tiny-scale load test plus the connection-scale
-# pass — the event loop must hold >= 500 concurrent pipelined
-# connections with zero drops and byte-exact replies.  500 client
-# sockets + 500 accepted sockets live in one process, so raise the fd
-# ceiling where the soft default (often 1024) is too tight.
+# Serve-bench smoke: tiny-scale load test, the connection-scale pass
+# (>= 500 concurrent pipelined connections, zero drops, byte-exact
+# replies) and an open-loop SWF replay; the bench checks all three,
+# then the gate compares its metrics against bench/baseline.json.  500
+# client sockets + 500 accepted sockets live in one process, so raise
+# the fd ceiling where the soft default (often 1024) is too tight.
 . "$(dirname "$0")/smoke_lib.sh"
 
 ulimit -n 4096 2>/dev/null || true
 
-SUU_PERF_SCALE=tiny "$BENCH" serve --connections "${CONNECTIONS:-500}" \
+SUU_PERF_SCALE=tiny "$BENCH" serve \
   --workload "${WORKLOAD:-swf:bench/workloads/sample20.swf}"
-test -s BENCH_serve.json
-grep -q '"deterministic_over_the_wire": true' BENCH_serve.json
-grep -q '"dropped": 0' BENCH_serve.json
-grep -q '"mismatched": 0' BENCH_serve.json
-# open-loop replay section: gated downstream by gate.exe (completion,
-# determinism, latency quantiles present)
-grep -q '"deterministic_replay": true' BENCH_serve.json
-grep -q '"incomplete": 0' BENCH_serve.json
+"$GATE" regression BENCH_serve.json bench/baseline.json

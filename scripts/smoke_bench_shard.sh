@@ -1,8 +1,9 @@
 #!/bin/sh
-# Shard-bench smoke: routed vs direct throughput plus the byte-identity
-# sweep — every routed response must match the single server's.
+# Shard-bench smoke: routed vs direct throughput (median of 5 passes)
+# plus the byte-identity sweep.  The bench checks byte identity and the
+# proxy-overhead floor; the gate compares throughput medians against
+# the baseline.
 . "$(dirname "$0")/smoke_lib.sh"
 
 SUU_PERF_SCALE=tiny "$BENCH" shard
-test -s BENCH_shard.json
-grep -q '"byte_identical": true' BENCH_shard.json
+"$GATE" regression BENCH_shard.json bench/baseline.json

@@ -2,8 +2,8 @@
 # Workload smoke: the checked-in 20-job sample SWF trace converts
 # byte-stably to SUU instances, inspects cleanly, and replays open-loop
 # through the serve bench end to end (arrivals at trace-derived
-# timestamps, 100% completion, byte-identical responses across two
-# runs at the same seed).
+# timestamps; the bench checks 100% completion and byte-identical
+# responses across two runs at the same seed).
 . "$(dirname "$0")/smoke_lib.sh"
 
 TRACE=bench/workloads/sample20.swf
@@ -25,19 +25,17 @@ diff -r "$SCRATCH/conv1" "$SCRATCH/conv2"
 "$CLI" describe --load "$SCRATCH/conv1/job0001.suu" > /dev/null
 
 # --- open-loop replay through the serve bench (port 0 server inside
-#     the bench): all 20 arrivals must complete with deterministic
-#     responses; a small --connections keeps the closed-loop passes
-#     quick, the gate floor only applies to CI's full serve smoke ---
-SUU_PERF_SCALE=tiny "$BENCH" serve --connections 40 --workload "swf:$TRACE"
-test -s BENCH_serve.json
+#     the bench): the bench itself checks that every arrival completes
+#     with deterministic responses; these greps check the trace mapping.
+#     Its connection-scale pass holds 500 sockets on each side, so raise
+#     the fd ceiling as smoke_bench_serve.sh does ---
+ulimit -n 4096 2>/dev/null || true
+SUU_PERF_SCALE=tiny "$BENCH" serve --workload "swf:$TRACE"
 grep -q '"workload": {"spec": "swf:sample20.swf"' BENCH_serve.json
-grep -q '"arrivals": 20, "completed": 20, "incomplete": 0' BENCH_serve.json
-grep -q '"deterministic_replay": true' BENCH_serve.json
+grep -q '"arrivals": 20' BENCH_serve.json
 
 # --- a synthetic arrival process drives the same path ---
-SUU_PERF_SCALE=tiny "$BENCH" serve --connections 40 --workload poisson:40
+SUU_PERF_SCALE=tiny "$BENCH" serve --workload poisson:40
 grep -q '"workload": {"spec": "poisson:40"' BENCH_serve.json
-grep -q '"incomplete": 0' BENCH_serve.json
-grep -q '"deterministic_replay": true' BENCH_serve.json
 
 echo "workload smoke ok"
