@@ -10,11 +10,22 @@ val greedy_completion : Instance.t -> Policy.t
     where [s_j] is the job's survival probability under the machines
     already committed this step — the natural greedy maximizing the
     expected number of completions per step, in the spirit of
-    Lin–Rajaraman's greedy for independent jobs. *)
+    Lin–Rajaraman's greedy for independent jobs.  Ties go to the lowest
+    job index.  A machine idles when no active job has [q_ij < 1] (every
+    gain is 0).
+
+    Cost: each machine keeps its top [K = min(n, max(64, 4m))] jobs by
+    [1 - q_ij] (index ascending on ties).  An untouched job's gain is
+    exactly [1 - q_ij], so a step compares the first active, untouched
+    entry of that prefix with the at most [m] jobs already picked this
+    step; only when the prefix has no such entry does the machine scan
+    every active job.  Fallback scans are counted in the
+    [greedy.fallbacks] obs counter (machine-steps). *)
 
 val round_robin : Instance.t -> Policy.t
-(** Per step, machine [i] takes the [(t + i) mod e]-th eligible job —
-    uniform replication with no use of the [q_ij] at all. *)
+(** Per step, machine [i] takes the [(t + i) mod e]-th of the [e]
+    eligible jobs in index order — uniform replication with no use of
+    the [q_ij] at all. *)
 
 val serial : Instance.t -> Policy.t
 (** All machines gang up on the lowest-index eligible remaining job — the

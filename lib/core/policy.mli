@@ -15,8 +15,15 @@ type stepper = time:int -> remaining:bool array -> eligible:bool array -> int ar
     idles, as in the paper); assigning an ineligible, uncompleted job is a
     policy bug and rejected by the engine.  The returned array is read
     immediately and never retained, so policies may reuse a buffer.
-    [remaining] and [eligible] are owned by the engine: treat as
-    read-only. *)
+
+    The contract steppers may rely on, within one execution:
+    - [remaining] and [eligible] both have length [n] (the instance's
+      job count) and are the same two arrays at every call;
+    - [remaining.(j)] only ever goes from [true] to [false] — a
+      stepper may keep a cursor past jobs it has seen completed;
+    - both arrays belong to the engine, which reuses them for later
+      executions: treat them as read-only and do not keep them beyond
+      the execution. *)
 
 type t
 

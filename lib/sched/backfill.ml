@@ -61,6 +61,7 @@ let policy ?width ?on_event inst =
       in
       (* All state is per-execution: steppers run concurrently. *)
       let machine_of = Array.make m (-1) in
+      let fcfs = Array.make m 0 in
       let running = Array.make n false in
       let bfilled = Array.make n false in
       let started = Array.make n (-1) in
@@ -170,27 +171,33 @@ let policy ?width ?on_event inst =
                 for k = 0 to have - 1 do
                   reserved.(out.(k)) <- true
                 done;
-                let fcfs =
-                  List.filter
-                    (fun j -> running.(j) && not bfilled.(j))
-                    (List.init n Fun.id)
-                in
+                (* The FCFS-running jobs are the non-backfilled ones
+                   holding a machine: at most m, read off [machine_of]
+                   (a job on several machines appears once per machine;
+                   the sort makes its copies adjacent). *)
+                let nf = ref 0 in
+                for i = 0 to m - 1 do
+                  let j = machine_of.(i) in
+                  if j >= 0 && not bfilled.(j) then begin
+                    fcfs.(!nf) <- j;
+                    incr nf
+                  end
+                done;
                 let pc j =
                   let elapsed = time - started.(j) in
                   time + max 1 (predicted_total j - elapsed)
                 in
-                let by_pc =
-                  List.sort
-                    (fun a b ->
-                      match compare (pc a) (pc b) with
-                      | 0 -> compare a b
-                      | c -> c)
-                    fcfs
-                in
+                let by_pc = Array.sub fcfs 0 !nf in
+                Array.sort
+                  (fun a b ->
+                    match compare (pc a) (pc b) with
+                    | 0 -> compare a b
+                    | c -> c)
+                  by_pc;
                 let acc = ref have and shadow = ref max_int in
-                List.iter
-                  (fun j ->
-                    if !acc < w_h then begin
+                Array.iteri
+                  (fun k j ->
+                    if (k = 0 || by_pc.(k - 1) <> j) && !acc < w_h then begin
                       let got = ref 0 in
                       for i = 0 to m - 1 do
                         if machine_of.(i) = j && capable_mask.(h).(i)

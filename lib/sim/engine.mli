@@ -12,7 +12,17 @@
     Eligibility is tracked incrementally: each job carries a
     remaining-predecessor counter (seeded from the dag's packed CSR
     adjacency) that is decremented when a predecessor completes, so a
-    completion costs O(out-degree), not an O(n) rescan. *)
+    completion costs O(out-degree), not an O(n) rescan.
+
+    For [n] above 256 (arrays the runtime would allocate straight in
+    the major heap) the n-sized run state ([remaining], [eligible],
+    accrued mass, completion floors, predecessor counters) lives in a
+    per-domain scratch reused across executions, so a run allocates
+    nothing n-sized.  A run claims it with a compare-and-set and
+    releases it on return or exception; a nested run (from [on_step] or
+    a stepper) or another systhread on the same domain finds it taken
+    and works on fresh arrays, and a run with a different [n] replaces
+    it.  Smaller runs allocate fresh arrays in the minor heap. *)
 
 exception Invalid_schedule of string
 (** A policy violated the model (ineligible assignment, bad job index). *)

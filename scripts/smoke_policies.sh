@@ -1,11 +1,12 @@
 #!/bin/sh
-# Online-policy smoke: the lib/sched family (lzf, backfill) end to end
-# over a real socket.  Serves simulate requests for both policies on
-# instances converted from the checked-in SWF trace and on synthetic
-# instances, and replays each request at the same seed — the responses
-# must be byte-identical (0 mismatches): the policies promise
-# deterministic tie-breaking, and the per-execution predictor state is
-# seeded from (instance digest, policy, seed) only.
+# Online-policy smoke: the LP-free policies (lzf, backfill, greedy,
+# serial, round-robin) end to end over a real socket.  Serves simulate
+# requests for each on instances converted from the checked-in SWF
+# trace and on synthetic instances, and replays each request at the
+# same seed — the responses must be byte-identical (0 mismatches): the
+# policies promise deterministic tie-breaking, and backfill's
+# per-execution predictor state is seeded from (instance digest,
+# policy, seed) only.
 . "$(dirname "$0")/smoke_lib.sh"
 
 TRACE=bench/workloads/sample20.swf
@@ -18,12 +19,14 @@ PORT=$(scripts/wait_ready.sh "$SCRATCH/serve.log" "$CLI" client stats)
 # The server must know the whole registry, including lib/sched.
 "$CLI" client stats --port "$PORT" --full > "$SCRATCH/stats0.out"
 
-# --- SWF-derived instances: convert the trace, serve both policies
+POLICIES="lzf backfill greedy serial round-robin"
+
+# --- SWF-derived instances: convert the trace, serve each policy
 #     over a handful of jobs, replay each and diff ---
 "$CLI" workload convert "$TRACE" --out "$SCRATCH/conv" --seed 7
 MISMATCH=0
 for inst in job0001 job0007 job0013 job0019; do
-  for pol in lzf backfill; do
+  for pol in $POLICIES; do
     "$CLI" client simulate --port "$PORT" --load "$SCRATCH/conv/$inst.suu" \
       --policy "$pol" --reps 6 --seed 42 > "$SCRATCH/$inst-$pol-a.out"
     "$CLI" client simulate --port "$PORT" --load "$SCRATCH/conv/$inst.suu" \
@@ -37,17 +40,21 @@ for inst in job0001 job0007 job0013 job0019; do
 done
 
 # --- synthetic instances exercise the multi-machine packing paths the
-#     one-job SWF rows cannot ---
-for pol in lzf backfill; do
-  "$CLI" client simulate --port "$PORT" -n 12 -m 4 --reps 6 --seed 9 \
-    --policy "$pol" > "$SCRATCH/syn-$pol-a.out"
-  "$CLI" client simulate --port "$PORT" -n 12 -m 4 --reps 6 --seed 9 \
-    --policy "$pol" > "$SCRATCH/syn-$pol-b.out"
-  grep -q '^mean ' "$SCRATCH/syn-$pol-a.out"
-  if ! cmp -s "$SCRATCH/syn-$pol-a.out" "$SCRATCH/syn-$pol-b.out"; then
-    echo "replay mismatch: synthetic policy=$pol" >&2
-    MISMATCH=$((MISMATCH + 1))
-  fi
+#     one-job SWF rows cannot; n > 4m makes greedy scan past its
+#     per-machine top-K ranking ---
+for nm in 12:4 300:8; do
+  n=${nm%:*} m=${nm#*:}
+  for pol in $POLICIES; do
+    "$CLI" client simulate --port "$PORT" -n "$n" -m "$m" --reps 6 --seed 9 \
+      --policy "$pol" > "$SCRATCH/syn-$n-$pol-a.out"
+    "$CLI" client simulate --port "$PORT" -n "$n" -m "$m" --reps 6 --seed 9 \
+      --policy "$pol" > "$SCRATCH/syn-$n-$pol-b.out"
+    grep -q '^mean ' "$SCRATCH/syn-$n-$pol-a.out"
+    if ! cmp -s "$SCRATCH/syn-$n-$pol-a.out" "$SCRATCH/syn-$n-$pol-b.out"; then
+      echo "replay mismatch: synthetic n=$n m=$m policy=$pol" >&2
+      MISMATCH=$((MISMATCH + 1))
+    fi
+  done
 done
 
 [ "$MISMATCH" -eq 0 ]

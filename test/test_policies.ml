@@ -318,6 +318,166 @@ let test_baselines_respect_precedence () =
       Suu_core.Baselines.serial inst;
     ]
 
+(* --- online steppers vs. their list-based oracles --- *)
+
+(* A random instance of the given shape over the jobs in a random order
+   [perm], so chains and trees are not index-contiguous; every edge joins
+   two positions of [perm] in one direction (an in-forest's all point
+   back), so the graph is acyclic.  Half the
+   instances draw q from {0, 0.25, 0.5, 1} (ties everywhere), half from
+   (0.05, 0.95); an all-ones column gets one 0.5. *)
+let random_online_instance rng ~shape ~n ~m =
+  let perm = Array.init n Fun.id in
+  Rng.shuffle rng perm;
+  let edges = ref [] in
+  let edge a b = edges := (perm.(a), perm.(b)) :: !edges in
+  let inward = Rng.bool rng in
+  for p = 1 to n - 1 do
+    match shape with
+    | `Independent -> ()
+    | `Chains -> if Rng.int rng 10 > 0 then edge (p - 1) p
+    | `Forest ->
+        if Rng.int rng 5 > 0 then begin
+          let parent = Rng.int rng p in
+          if inward then edge p parent else edge parent p
+        end
+    | `General ->
+        for _ = 1 to Rng.int rng 4 do
+          edge (Rng.int rng p) p
+        done
+  done;
+  let ties = Rng.bool rng in
+  let levels = [| 0.0; 0.25; 0.5; 1.0 |] in
+  let q =
+    Array.init m (fun _ ->
+        Array.init n (fun _ ->
+            if ties then levels.(Rng.int rng 4)
+            else Rng.range rng ~lo:0.05 ~hi:0.95))
+  in
+  for j = 0 to n - 1 do
+    if Array.for_all (fun row -> row.(j) >= 1.0) q then
+      q.(Rng.int rng m).(j) <- 0.5
+  done;
+  Instance.make ~dag:(Dag.of_edges ~n !edges) q
+
+let prop_online_oracles =
+  let shapes = [| `Independent; `Chains; `Forest; `General |] in
+  QCheck.Test.make ~count:200 ~name:"steppers match list-based oracles"
+    QCheck.(triple (int_bound 3) (int_range 150 400) small_nat)
+    (fun (s, n, seed) ->
+      let rng = Rng.create ~seed:(seed + (1000 * s) + n) in
+      let m = 1 + Rng.int rng 8 in
+      let inst = random_online_instance rng ~shape:shapes.(s) ~n ~m in
+      List.for_all
+        (fun (oracle, stepper) ->
+          List.for_all
+            (fun rep ->
+              let trace = Trace.draw ~n (Rng.create ~seed:(seed + rep)) in
+              let run p =
+                Engine.run_recorded inst p ~trace
+                  ~rng:(Rng.create ~seed:(seed + rep + 7))
+              in
+              run (oracle inst) = run (stepper inst))
+            [ 0; 1 ])
+        [
+          (Online_oracles.greedy_completion, Suu_core.Baselines.greedy_completion);
+          (Online_oracles.serial, Suu_core.Baselines.serial);
+          (Online_oracles.round_robin, Suu_core.Baselines.round_robin);
+        ])
+
+(* The property must exercise greedy's exact scan past its top-K
+   ranking, not only the prefix. *)
+let test_online_oracles () =
+  let fallbacks () =
+    Suu_obs.Counter.get (Suu_obs.Registry.counter "greedy.fallbacks")
+  in
+  let before = fallbacks () in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |]) prop_online_oracles;
+  Alcotest.(check bool) "greedy fallback ran" true (fallbacks () > before)
+
+(* Schedules pinned before the steppers were rewritten: [Runner.makespans]
+   (seed 5, 4 reps) and the MD5 of one [run_recorded] assignment matrix
+   (trace seed 17, policy seed 18), per (shape, policy).  A stepper change
+   that moves any schedule fails here.  Each job is made incapable
+   (q = 1) on about half the machines, so backfill's widths differ and
+   its reservation shadow decides some starts. *)
+let masked inst ~seed =
+  let rng = Rng.create ~seed in
+  let m = Instance.m inst and n = Instance.n inst in
+  let q = Array.init m (fun i -> Array.init n (fun j -> Instance.q inst i j)) in
+  for j = 0 to n - 1 do
+    let keep = Rng.int rng m in
+    for i = 0 to m - 1 do
+      if i <> keep && Rng.bool rng then q.(i).(j) <- 1.0
+    done
+  done;
+  Instance.make ~dag:(Instance.dag inst) q
+
+let golden_instances =
+  [
+    ("independent", masked (W.independent uniform ~n:300 ~m:8 ~seed:21) ~seed:31);
+    ("chains", masked (W.random_chains uniform ~n:160 ~z:10 ~m:6 ~seed:22) ~seed:32);
+    ( "forest",
+      masked
+        (W.forest uniform ~n:120 ~trees:6 ~orientation:`Mixed ~m:5 ~seed:23)
+        ~seed:33 );
+  ]
+
+let golden =
+  [
+    ("independent", "greedy", [| 68; 66; 61; 74 |], "02b3c3362976090beba8f08f594778a3");
+    ("independent", "serial", [| 353; 351; 333; 350 |], "eae97da0bc1a99be5c051712275cb85e");
+    ("independent", "round-robin", [| 192; 185; 171; 196 |], "81e089f59c39fabe38efe935fbbd566d");
+    ("independent", "lzf", [| 79; 78; 71; 87 |], "c1d49263ff3ea42cd9e4d5280c89dcf6");
+    ("independent", "backfill", [| 183; 184; 174; 175 |], "02f8e0f8789936fa6fa23a000bfab7f3");
+    ("chains", "greedy", [| 102; 88; 97; 90 |], "da087cf9b15b31d9220a290d642ceb3d");
+    ("chains", "serial", [| 230; 195; 210; 199 |], "74131e92b61af433d2c8badd97aa9c7b");
+    ("chains", "round-robin", [| 166; 136; 143; 136 |], "892f13acbf4159b2b46d0d4bee12adc9");
+    ("chains", "lzf", [| 98; 91; 97; 95 |], "a81baa5017a169aed31dcba811e77f6f");
+    ("chains", "backfill", [| 168; 136; 153; 150 |], "6a33322efaf0f56ee40aaeff8cd76fa5");
+    ("forest", "greedy", [| 55; 73; 66; 58 |], "92e75b411a20f0be26ad559fab016e96");
+    ("forest", "serial", [| 173; 203; 189; 174 |], "6d9e61eb3019db66cbf07062961f117e");
+    ("forest", "round-robin", [| 128; 159; 141; 121 |], "ddfe8b3e36b6f35305ca680edbb6a265");
+    ("forest", "lzf", [| 63; 78; 66; 64 |], "db1c6dba6aa887ef271a7df8796f4186");
+    ("forest", "backfill", [| 96; 107; 97; 102 |], "78391356cdd759e80ecbd0e188db5896");
+  ]
+
+let golden_policy name inst =
+  match name with
+  | "greedy" -> Suu_core.Baselines.greedy_completion inst
+  | "serial" -> Suu_core.Baselines.serial inst
+  | "round-robin" -> Suu_core.Baselines.round_robin inst
+  | "lzf" -> Suu_sched.Lzf.policy inst
+  | "backfill" -> Suu_sched.Backfill.policy inst
+  | _ -> invalid_arg name
+
+let matrix_digest steps =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun row ->
+      Array.iter
+        (fun j ->
+          Buffer.add_string b (string_of_int j);
+          Buffer.add_char b ',')
+        row;
+      Buffer.add_char b '\n')
+    steps;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_schedules () =
+  List.iter
+    (fun (shape, pname, mks, md5) ->
+      let inst = List.assoc shape golden_instances in
+      let p = golden_policy pname inst in
+      let what = shape ^ " " ^ pname in
+      Alcotest.(check (array int))
+        (what ^ " makespans") mks
+        (Array.map int_of_float (Runner.makespans inst p ~seed:5 ~reps:4));
+      let trace = Trace.draw ~n:(Instance.n inst) (Rng.create ~seed:17) in
+      let _, steps = Engine.run_recorded inst p ~trace ~rng:(Rng.create ~seed:18) in
+      Alcotest.(check string) (what ^ " assignment md5") md5 (matrix_digest steps))
+    golden
+
 let test_greedy_oblivious_coverage () =
   (* The LP-free assignment must reach the target mass on every job. *)
   let inst = W.independent uniform ~n:12 ~m:4 ~seed:40 in
@@ -600,6 +760,8 @@ let () =
             test_greedy_oblivious_completes;
           Alcotest.test_case "greedy-oblivious target" `Quick
             test_greedy_oblivious_custom_target;
+          Alcotest.test_case "online oracles" `Quick test_online_oracles;
+          Alcotest.test_case "golden schedules" `Quick test_golden_schedules;
         ] );
       ( "suu-c",
         [

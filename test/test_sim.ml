@@ -180,6 +180,80 @@ let test_engine_relative_epsilon () =
   in
   Alcotest.(check int) "exactly 1000 steps" 1000 mk
 
+(* Above 256 jobs the engine's run state is a per-domain scratch.  A run
+   that starts while another holds it — nested in [on_step], or from a
+   second systhread of the same domain — must get its own arrays, a run
+   that raised must not leave stale state behind, and a change of [n]
+   must not reuse the wrong size. *)
+let scratch_inst n =
+  let module W = Suu_workload.Workload in
+  W.random_chains (W.Uniform { lo = 0.2; hi = 0.95 }) ~n ~z:(n / 10) ~m:4
+    ~seed:n
+
+let scratch_run ?on_step inst seed =
+  let trace = Trace.draw ~n:(Instance.n inst) (Rng.create ~seed) in
+  Engine.run ?on_step inst (Suu_core.Baselines.round_robin inst) ~trace
+    ~rng:(Rng.create ~seed)
+
+let test_engine_scratch_claims () =
+  let big = scratch_inst 400 and other = scratch_inst 300 in
+  let want = scratch_run big 1 and want_inner = scratch_run big 2 in
+  let want_other = scratch_run other 3 in
+  let check what want got =
+    Alcotest.(check int) what want.Engine.makespan got.Engine.makespan;
+    Alcotest.(check int) (what ^ " busy") want.Engine.busy_steps
+      got.Engine.busy_steps
+  in
+  (* nested: inner runs of the same and of another size mid-run *)
+  let on_step ~time ~assignment:_ =
+    if time = 3 then check "nested same n" want_inner (scratch_run big 2);
+    if time = 5 then check "nested other n" want_other (scratch_run other 3)
+  in
+  check "outer" want (scratch_run ~on_step big 1);
+  (* a raising run, then clean runs of both sizes *)
+  (try
+     ignore
+       (scratch_run big 1 ~on_step:(fun ~time ~assignment:_ ->
+            if time = 7 then failwith "stop"))
+   with Failure _ -> ());
+  check "after raise" want (scratch_run big 1);
+  check "other n" want_other (scratch_run other 3);
+  check "back" want (scratch_run big 1);
+  (* a second systhread runs to completion while the first is parked
+     mid-run holding the scratch *)
+  let m = Mutex.create () and c = Condition.create () in
+  let parked = ref false and other_done = ref false in
+  let park ~time ~assignment:_ =
+    if time = 2 then begin
+      Mutex.lock m;
+      parked := true;
+      Condition.broadcast c;
+      while not !other_done do
+        Condition.wait c m
+      done;
+      Mutex.unlock m
+    end
+  in
+  let got_other = ref None in
+  let t =
+    Thread.create
+      (fun () ->
+        Mutex.lock m;
+        while not !parked do
+          Condition.wait c m
+        done;
+        Mutex.unlock m;
+        got_other := Some (scratch_run big 2);
+        Mutex.lock m;
+        other_done := true;
+        Condition.broadcast c;
+        Mutex.unlock m)
+      ()
+  in
+  check "parked thread" want (scratch_run ~on_step:park big 1);
+  Thread.join t;
+  check "other thread" want_inner (Option.get !got_other)
+
 (* --- Theorem 10: SUU* equals SUU distributionally --- *)
 
 let test_suu_star_equivalence_single () =
@@ -565,6 +639,8 @@ let () =
             test_engine_rejects_wrong_width;
           Alcotest.test_case "precedence" `Quick
             test_engine_precedence_progress;
+          Alcotest.test_case "scratch claims" `Quick
+            test_engine_scratch_claims;
           Alcotest.test_case "relative completion epsilon" `Quick
             test_engine_relative_epsilon;
         ] );
