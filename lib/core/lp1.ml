@@ -19,56 +19,63 @@ let validate inst ~jobs ~target =
    is what makes a basis from one target meaningful for the next. *)
 let build_problem inst ~jobs ~target =
   let m = Instance.m inst in
+  let k = Array.length jobs in
   let p = Suu_lp.Problem.create ~name:"lp1" () in
   let t_var = Suu_lp.Problem.add_var ~obj:1.0 p in
-  (* Variables only for pairs with positive clipped log failure. *)
-  let var = Hashtbl.create (m * Array.length jobs) in
-  Array.iter
-    (fun j ->
+  (* Variables only for pairs with positive clipped log failure:
+     [var.(i).(jj)] is the variable of machine [i] and job [jobs.(jj)],
+     or -1.  Variables are numbered job by job, so every row below lists
+     its terms in ascending variable order, which Problem keeps as is. *)
+  let var = Array.make_matrix m k (-1) in
+  let coeff = Array.make_matrix m k 0.0 in
+  Array.iteri
+    (fun jj j ->
       for i = 0 to m - 1 do
-        if Instance.clipped_log_failure inst ~target i j > 0.0 then
-          Hashtbl.add var (i, j) (Suu_lp.Problem.add_var p)
+        let c = Instance.clipped_log_failure inst ~target i j in
+        if c > 0.0 then begin
+          var.(i).(jj) <- Suu_lp.Problem.add_var p;
+          coeff.(i).(jj) <- c
+        end
       done)
     jobs;
-  Array.iter
-    (fun j ->
-      let terms = ref [] in
-      for i = 0 to m - 1 do
-        match Hashtbl.find_opt var (i, j) with
-        | Some v ->
-            terms :=
-              (v, Instance.clipped_log_failure inst ~target i j) :: !terms
-        | None -> ()
-      done;
-      Suu_lp.Problem.add_constraint p !terms Suu_lp.Problem.Ge target)
-    jobs;
+  for jj = 0 to k - 1 do
+    let terms = ref [] in
+    for i = m - 1 downto 0 do
+      if var.(i).(jj) >= 0 then
+        terms := (var.(i).(jj), coeff.(i).(jj)) :: !terms
+    done;
+    Suu_lp.Problem.add_constraint p !terms Suu_lp.Problem.Ge target
+  done;
   for i = 0 to m - 1 do
-    let terms = ref [ (t_var, -1.0) ] in
-    Array.iter
-      (fun j ->
-        match Hashtbl.find_opt var (i, j) with
-        | Some v -> terms := (v, 1.0) :: !terms
-        | None -> ())
-      jobs;
-    Suu_lp.Problem.add_constraint p !terms Suu_lp.Problem.Le 0.0
+    let terms = ref [] in
+    for jj = k - 1 downto 0 do
+      if var.(i).(jj) >= 0 then terms := (var.(i).(jj), 1.0) :: !terms
+    done;
+    Suu_lp.Problem.add_constraint p ((t_var, -1.0) :: !terms)
+      Suu_lp.Problem.Le 0.0
   done;
   (p, var)
 
-let extract inst var sol =
+let extract inst ~jobs var sol =
   let x = Array.make_matrix (Instance.m inst) (Instance.n inst) 0.0 in
-  Hashtbl.iter (fun (i, j) v -> x.(i).(j) <- Float.max 0.0 sol.(v)) var;
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun jj v -> if v >= 0 then x.(i).(jobs.(jj)) <- Float.max 0.0 sol.(v))
+        row)
+    var;
   x
 
 let solve_simplex inst ~jobs ~target =
   let p, var = build_problem inst ~jobs ~target in
   let value, sol = Suu_lp.Simplex.solve_exn p in
-  { x = extract inst var sol; value; basis = None }
+  { x = extract inst ~jobs var sol; value; basis = None }
 
 let solve_revised ?basis inst ~jobs ~target =
   let p, var = build_problem inst ~jobs ~target in
   match Suu_lp.Revised_simplex.solve_basis ?basis p with
   | Suu_lp.Simplex.Optimal { objective; x = sol }, out ->
-      { x = extract inst var sol; value = objective; basis = out }
+      { x = extract inst ~jobs var sol; value = objective; basis = out }
   | Suu_lp.Simplex.Infeasible, _ -> failwith "lp1: infeasible"
   | Suu_lp.Simplex.Unbounded, _ -> failwith "lp1: unbounded"
   | Suu_lp.Simplex.Iteration_limit, _ -> failwith "lp1: iteration limit"

@@ -1,6 +1,10 @@
 type var = int
 type sense = Le | Ge | Eq
 
+let flipped sense rhs =
+  if rhs >= 0.0 then sense
+  else match sense with Le -> Ge | Ge -> Le | Eq -> Eq
+
 type row = { terms : (var * float) array; sense : sense; rhs : float }
 
 type t = {

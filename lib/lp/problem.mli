@@ -15,6 +15,11 @@ type var = int
 type sense = Le | Ge | Eq
 (** Constraint sense: [row <= b], [row >= b], [row = b]. *)
 
+val flipped : sense -> float -> sense
+(** [flipped sense b] is the sense of the constraint [row sense b] once
+    both sides are negated when [b < 0], as the solvers do to keep every
+    right-hand side nonnegative. *)
+
 val create : ?name:string -> unit -> t
 (** [create ()] is an empty minimization problem. *)
 

@@ -1,16 +1,20 @@
+module A1 = Bigarray.Array1
+
 let eps = 1e-9
 let feas_tol = 1e-7
 
-(* Columns are stored sparse (row indices + values): SUU's LPs have
-   2-3 nonzeros per structural column, so pricing and column updates
-   over a dense rows x cols matrix would spend two orders of magnitude
-   more memory traffic than the arithmetic needs.  The basis matrix
-   and B⁻¹ stay dense — they are rows x rows, which is small. *)
+(* Columns are stored sparse, in one compressed-column block: SUU's LPs
+   have 2-3 nonzeros per structural column, so pricing and column
+   updates over a dense rows x cols matrix would spend two orders of
+   magnitude more memory traffic than the arithmetic needs.  The basis
+   matrix and B⁻¹ stay dense — they are rows x rows, which is small. *)
 type standard = {
   rows : int;
   cols : int;
-  col_rows : int array array; (* per column: rows of its nonzeros *)
-  col_vals : float array array; (* per column: the coefficients *)
+  col_start : int array;
+  (* column j's nonzeros are entries [col_start.(j), col_start.(j + 1)) *)
+  row_of : int array; (* per entry: its row, ascending within a column *)
+  value : float array; (* per entry: the coefficient *)
   b : float array; (* rhs >= 0 *)
   c2 : float array; (* phase-2 costs *)
   nstruct : int;
@@ -23,17 +27,10 @@ type standard = {
 let standardize problem =
   let nstruct = Problem.num_vars problem in
   let rows = Problem.num_constraints problem in
-  let n_slack = ref 0 and n_art = ref 0 in
-  Problem.iter_constraints problem (fun _ sense rhs ->
-      let sense =
-        if rhs < 0.0 then
-          match sense with
-          | Problem.Le -> Problem.Ge
-          | Problem.Ge -> Problem.Le
-          | Problem.Eq -> Problem.Eq
-        else sense
-      in
-      match sense with
+  let n_slack = ref 0 and n_art = ref 0 and n_terms = ref 0 in
+  Problem.iter_constraints problem (fun terms sense rhs ->
+      n_terms := !n_terms + Array.length terms;
+      match Problem.flipped sense rhs with
       | Problem.Le -> incr n_slack
       | Problem.Ge ->
           incr n_slack;
@@ -41,16 +38,27 @@ let standardize problem =
       | Problem.Eq -> incr n_art);
   let first_artificial = nstruct + !n_slack in
   let cols = first_artificial + !n_art in
-  (* Count structural nonzeros per column, then fill with cursors. *)
-  let nnz = Array.make cols 0 in
+  (* Count nonzeros per column (one for each slack, surplus and
+     artificial), then fill with cursors. *)
+  let col_start = Array.make (cols + 1) 0 in
   Problem.iter_constraints problem (fun terms _ _ ->
-      Array.iter (fun (v, _) -> nnz.(v) <- nnz.(v) + 1) terms);
+      Array.iter (fun (v, _) -> col_start.(v + 1) <- col_start.(v + 1) + 1)
+        terms);
   for j = nstruct to cols - 1 do
-    nnz.(j) <- 1
+    col_start.(j + 1) <- 1
   done;
-  let col_rows = Array.init cols (fun j -> Array.make nnz.(j) 0) in
-  let col_vals = Array.init cols (fun j -> Array.make nnz.(j) 0.0) in
-  let cursor = Array.make cols 0 in
+  for j = 1 to cols do
+    col_start.(j) <- col_start.(j) + col_start.(j - 1)
+  done;
+  let entries = !n_terms + (cols - nstruct) in
+  let row_of = Array.make entries 0 and value = Array.make entries 0.0 in
+  let cursor = Array.sub col_start 0 cols in
+  let put j r v =
+    let i = cursor.(j) in
+    cursor.(j) <- i + 1;
+    row_of.(i) <- r;
+    value.(i) <- v
+  in
   let b = Array.make rows 0.0 in
   let basis = Array.make rows (-1) in
   let c2 = Array.make cols 0.0 in
@@ -60,100 +68,81 @@ let standardize problem =
   Problem.iter_constraints problem (fun terms sense rhs ->
       let flip = rhs < 0.0 in
       Array.iter
-        (fun (v, coeff) ->
-          let i = cursor.(v) in
-          cursor.(v) <- i + 1;
-          col_rows.(v).(i) <- !r;
-          col_vals.(v).(i) <- (if flip then -.coeff else coeff))
+        (fun (v, coeff) -> put v !r (if flip then -.coeff else coeff))
         terms;
       b.(!r) <- (if flip then -.rhs else rhs);
-      let sense =
-        if flip then
-          match sense with
-          | Problem.Le -> Problem.Ge
-          | Problem.Ge -> Problem.Le
-          | Problem.Eq -> Problem.Eq
-        else sense
-      in
-      let unit_col j v =
-        col_rows.(j).(0) <- !r;
-        col_vals.(j).(0) <- v
-      in
-      (match sense with
+      (match Problem.flipped sense rhs with
       | Problem.Le ->
-          unit_col !slack_next 1.0;
+          put !slack_next !r 1.0;
           basis.(!r) <- !slack_next;
           incr slack_next
       | Problem.Ge ->
-          unit_col !slack_next (-1.0);
+          put !slack_next !r (-1.0);
           incr slack_next;
-          unit_col !art_next 1.0;
+          put !art_next !r 1.0;
           basis.(!r) <- !art_next;
           incr art_next
       | Problem.Eq ->
-          unit_col !art_next 1.0;
+          put !art_next !r 1.0;
           basis.(!r) <- !art_next;
           incr art_next);
       incr r);
   (* A structural variable can appear in several constraints; the same
      variable twice in ONE constraint was merged by Problem.  Columns
-     are filled in row order, so col_rows is sorted — nothing to fix. *)
-  { rows; cols; col_rows; col_vals; b; c2; nstruct; first_artificial; basis }
+     are filled in row order, so each column's rows ascend. *)
+  { rows; cols; col_start; row_of; value; b; c2; nstruct; first_artificial;
+    basis }
+
+(* B⁻¹ is stored flat, row-major: entry (r, c) is [binv.{r * rows + c}]. *)
+let set_identity k (binv : Elim.matrix) =
+  Elim.zero binv (k * k);
+  for r = 0 to k - 1 do
+    binv.{(r * k) + r} <- 1.0
+  done
 
 (* Recompute B^-1 from the basis columns by Gauss-Jordan with partial
-   pivoting; returns false if the basis matrix is (numerically)
-   singular. *)
-let refactorize st binv =
+   pivoting on [B | I], laid out in [work] (rows x 2 rows, row-major);
+   returns false if the basis matrix is (numerically) singular.  On
+   failure [binv] holds the partial elimination, as it always has. *)
+let refactorize st (binv : Elim.matrix) ~(work : Elim.matrix) ~factor ~scratch =
   let k = st.rows in
-  let work = Array.init k (fun _ -> Array.make k 0.0) in
+  let w = 2 * k in
+  Elim.zero work (k * w);
   for c = 0 to k - 1 do
     let j = st.basis.(c) in
-    let rows_j = st.col_rows.(j) and vals_j = st.col_vals.(j) in
-    for i = 0 to Array.length rows_j - 1 do
-      work.(rows_j.(i)).(c) <- vals_j.(i)
-    done
+    for i = st.col_start.(j) to st.col_start.(j + 1) - 1 do
+      work.{(st.row_of.(i) * w) + c} <- st.value.(i)
+    done;
+    work.{(c * w) + k + c} <- 1.0
+  done;
+  let ok = ref true in
+  let col = ref 0 in
+  while !ok && !col < k do
+    let col' = !col in
+    let pivot = ref col' in
+    for r = col' + 1 to k - 1 do
+      if Float.abs work.{(r * w) + col'} > Float.abs work.{(!pivot * w) + col'}
+      then pivot := r
+    done;
+    if Float.abs work.{(!pivot * w) + col'} < 1e-12 then ok := false
+    else begin
+      if !pivot <> col' then
+        for c = 0 to w - 1 do
+          let t = work.{(col' * w) + c} in
+          work.{(col' * w) + c} <- work.{(!pivot * w) + c};
+          work.{(!pivot * w) + c} <- t
+        done;
+      for r = 0 to k - 1 do
+        factor.(r) <- work.{(r * w) + col'}
+      done;
+      Elim.pivot work ~width:w ~rows:k ~row:col' ~col:col' ~factor scratch;
+      incr col
+    end
   done;
   for r = 0 to k - 1 do
     for c = 0 to k - 1 do
-      binv.(r).(c) <- (if r = c then 1.0 else 0.0)
+      binv.{(r * k) + c} <- work.{(r * w) + k + c}
     done
-  done;
-  let ok = ref true in
-  for col = 0 to k - 1 do
-    if !ok then begin
-      let pivot = ref col in
-      for r = col + 1 to k - 1 do
-        if Float.abs work.(r).(col) > Float.abs work.(!pivot).(col) then
-          pivot := r
-      done;
-      if Float.abs work.(!pivot).(col) < 1e-12 then ok := false
-      else begin
-        if !pivot <> col then begin
-          let t = work.(col) in
-          work.(col) <- work.(!pivot);
-          work.(!pivot) <- t;
-          let t = binv.(col) in
-          binv.(col) <- binv.(!pivot);
-          binv.(!pivot) <- t
-        end;
-        let inv = 1.0 /. work.(col).(col) in
-        for c = 0 to k - 1 do
-          work.(col).(c) <- work.(col).(c) *. inv;
-          binv.(col).(c) <- binv.(col).(c) *. inv
-        done;
-        for r = 0 to k - 1 do
-          if r <> col then begin
-            let f = work.(r).(col) in
-            if Float.abs f > 0.0 then begin
-              for c = 0 to k - 1 do
-                work.(r).(c) <- work.(r).(c) -. (f *. work.(col).(c));
-                binv.(r).(c) <- binv.(r).(c) -. (f *. binv.(col).(c))
-              done
-            end
-          end
-        done
-      end
-    end
   done;
   !ok
 
@@ -162,7 +151,11 @@ type phase_result = Opt | Unbounded_dir | Iters_exhausted
 let solve_basis ?max_iters ?basis problem =
   let st = standardize problem in
   let k = st.rows in
-  let binv = Array.init k (fun r -> Array.init k (fun c -> if r = c then 1.0 else 0.0)) in
+  let binv = Elim.create (k * k) in
+  set_identity k binv;
+  let scratch = Elim.scratch (2 * k) in
+  let work = Elim.create (2 * k * k) and factor = Array.make k 0.0 in
+  let refactorize () = refactorize st binv ~work ~factor ~scratch in
   let is_basic = Array.make st.cols false in
   Array.iter (fun j -> is_basic.(j) <- true) st.basis;
   let budget =
@@ -176,56 +169,50 @@ let solve_basis ?max_iters ?basis problem =
   let compute_xb () =
     for r = 0 to k - 1 do
       let acc = ref 0.0 in
+      let base = r * k in
       for c = 0 to k - 1 do
-        acc := !acc +. (binv.(r).(c) *. st.b.(c))
+        acc := !acc +. (A1.unsafe_get binv (base + c) *. st.b.(c))
       done;
       xb.(r) <- !acc
     done
   in
+  (* y = c_B B⁻¹, accumulated row by row in the same order as the
+     column-wise dot products: a zero-cost basic contributes only
+     signed zeros to sums that start at +0, so it is skipped. *)
   let y = Array.make k 0.0 in
   let compute_y cost =
-    for c = 0 to k - 1 do
-      let acc = ref 0.0 in
-      for r = 0 to k - 1 do
-        acc := !acc +. (cost st.basis.(r) *. binv.(r).(c))
-      done;
-      y.(c) <- !acc
+    Array.fill y 0 k 0.0;
+    for r = 0 to k - 1 do
+      let cr = cost st.basis.(r) in
+      if cr <> 0.0 then begin
+        let base = r * k in
+        for c = 0 to k - 1 do
+          Array.unsafe_set y c
+            (Array.unsafe_get y c +. (cr *. A1.unsafe_get binv (base + c)))
+        done
+      end
     done
   in
   let reduced cost j =
     let acc = ref (cost j) in
-    let rows_j = st.col_rows.(j) and vals_j = st.col_vals.(j) in
-    for i = 0 to Array.length rows_j - 1 do
-      acc := !acc -. (y.(rows_j.(i)) *. vals_j.(i))
+    for i = st.col_start.(j) to st.col_start.(j + 1) - 1 do
+      acc := !acc -. (y.(st.row_of.(i)) *. st.value.(i))
     done;
     !acc
   in
   let u = Array.make k 0.0 in
   let compute_u j =
     Array.fill u 0 k 0.0;
-    let rows_j = st.col_rows.(j) and vals_j = st.col_vals.(j) in
-    for i = 0 to Array.length rows_j - 1 do
-      let c = rows_j.(i) and v = vals_j.(i) in
+    for i = st.col_start.(j) to st.col_start.(j + 1) - 1 do
+      let c = st.row_of.(i) and v = st.value.(i) in
       for r = 0 to k - 1 do
-        u.(r) <- u.(r) +. (binv.(r).(c) *. v)
+        Array.unsafe_set u r
+          (Array.unsafe_get u r +. (A1.unsafe_get binv ((r * k) + c) *. v))
       done
     done
   in
   let pivot_update ~leave ~enter =
-    let d = u.(leave) in
-    let inv = 1.0 /. d in
-    for c = 0 to k - 1 do
-      binv.(leave).(c) <- binv.(leave).(c) *. inv
-    done;
-    for r = 0 to k - 1 do
-      if r <> leave then begin
-        let f = u.(r) in
-        if Float.abs f > 0.0 then
-          for c = 0 to k - 1 do
-            binv.(r).(c) <- binv.(r).(c) -. (f *. binv.(leave).(c))
-          done
-      end
-    done;
+    Elim.pivot binv ~width:k ~rows:k ~row:leave ~col:(-1) ~factor:u scratch;
     is_basic.(st.basis.(leave)) <- false;
     is_basic.(enter) <- true;
     st.basis.(leave) <- enter
@@ -234,7 +221,7 @@ let solve_basis ?max_iters ?basis problem =
     let rec loop () =
       if !iters >= budget then Iters_exhausted
       else begin
-        if !iters mod 64 = 63 then ignore (refactorize st binv);
+        if !iters mod 64 = 63 then ignore (refactorize ());
         compute_y cost;
         let bland = !iters > bland_after in
         (* entering column *)
@@ -326,7 +313,7 @@ let solve_basis ?max_iters ?basis problem =
         if xb.(r) < -.feas_tol then begin
           infeasible := true;
           for c = 0 to k - 1 do
-            w.(c) <- w.(c) +. binv.(r).(c)
+            w.(c) <- w.(c) +. binv.{(r * k) + c}
           done
         end
       done;
@@ -337,9 +324,8 @@ let solve_basis ?max_iters ?basis problem =
         for j = 0 to st.first_artificial - 1 do
           if not is_basic.(j) then begin
             let s = ref 0.0 in
-            let rows_j = st.col_rows.(j) and vals_j = st.col_vals.(j) in
-            for i = 0 to Array.length rows_j - 1 do
-              s := !s +. (w.(rows_j.(i)) *. vals_j.(i))
+            for i = st.col_start.(j) to st.col_start.(j + 1) - 1 do
+              s := !s +. (w.(st.row_of.(i)) *. st.value.(i))
             done;
             if !s < !best then begin
               best := !s;
@@ -402,7 +388,7 @@ let solve_basis ?max_iters ?basis problem =
           let cold = Array.copy st.basis in
           install b;
           let ok =
-            refactorize st binv
+            refactorize ()
             && begin
                  compute_xb ();
                  Array.for_all (fun v -> v >= -.feas_tol) xb
@@ -412,11 +398,7 @@ let solve_basis ?max_iters ?basis problem =
           if not ok then begin
             (* Restore the identity start: basis, flags and B⁻¹. *)
             install cold;
-            for r = 0 to k - 1 do
-              for c = 0 to k - 1 do
-                binv.(r).(c) <- (if r = c then 1.0 else 0.0)
-              done
-            done
+            set_identity k binv
           end;
           ok
         end

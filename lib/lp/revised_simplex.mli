@@ -7,6 +7,17 @@
     Gauss–Jordan for numerical hygiene) and prices columns against the
     original constraint matrix.
 
+    Cost: B⁻¹ is a dense [rows x rows] matrix.  Each iteration computes
+    [x_B = B⁻¹ b] (O(rows²)), the duals (O(rows × basic columns with a
+    nonzero cost)) and the reduced costs (O(nonzeros)), and updates
+    B⁻¹ by one elimination ({!Elim.pivot}): O(rows touched × nonzeros of
+    the scaled pivot row of B⁻¹).  Every 64 iterations, and once for a
+    warm start, B⁻¹ is refactorized by Gauss–Jordan on [[B | I]], where
+    each step costs O(rows touched × pivot-row nonzeros) as well.  The
+    skipped terms are exact zeros, so every nonzero value, pivot choice
+    and returned basis is bit for bit that of full-row updates (a zero
+    may keep the sign [-0.0]).
+
     Since the paper's guarantees all flow through LP solutions
     (Lemmas 1, 2, 5, 6; the LL LP; LST), having two independent solvers
     lets the test suite differentially validate the critical substrate:

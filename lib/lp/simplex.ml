@@ -12,10 +12,14 @@ let feas_tol = 1e-7
 type tableau = {
   rows : int;
   cols : int; (* number of variable columns; rhs lives at index [cols] *)
-  a : float array array; (* rows x (cols + 1) *)
+  width : int; (* cols + 1 *)
+  a : Elim.matrix;
+  (* (rows + 2) x width, row-major: the constraint rows, then the
+     phase-1 and phase-2 reduced-cost rows z1 (row [rows]) and z2 (row
+     [rows + 1]) *)
   basis : int array; (* basic column of each row *)
-  z1 : float array; (* phase-1 reduced costs, length cols + 1 *)
-  z2 : float array; (* phase-2 reduced costs, length cols + 1 *)
+  factor : float array; (* pivot-column scratch, length rows + 2 *)
+  scratch : Elim.scratch; (* pivot-row scratch *)
   nstruct : int; (* structural variables occupy columns [0, nstruct) *)
   first_artificial : int; (* artificial columns occupy [first_artificial, cols) *)
   dual_of_row : (int * float) array;
@@ -24,74 +28,96 @@ type tableau = {
      sign * z2.(column) at optimality *)
 }
 
-(* Lay out columns as [structural | slack/surplus | artificial] and install
-   the initial basis: slack for <= rows, artificial for >= and = rows. *)
-let build problem =
+let get t r j = Bigarray.Array1.unsafe_get t.a ((r * t.width) + j)
+let z1_row t = t.rows
+let z2_row t = t.rows + 1
+
+(* The tableau of an (LP2) solve is tens of megabytes.  Rather than
+   allocating it fresh for every solve, one process-wide buffer is
+   claimed with a compare-and-set, grown to the largest tableau seen, and
+   zeroed up to the length in use; a solve that finds it taken (another
+   domain or systhread is solving) allocates its own.  [buffer] is only
+   read or written by the holder of [busy]. *)
+let busy = Atomic.make false
+let buffer = ref (Elim.create 0)
+
+let with_buffer len f =
+  let claimed = Atomic.compare_and_set busy false true in
+  Fun.protect
+    ~finally:(fun () -> if claimed then Atomic.set busy false)
+    (fun () ->
+      let a =
+        if claimed && Bigarray.Array1.dim !buffer >= len then !buffer
+        else begin
+          let a = Elim.create len in
+          if claimed then buffer := a;
+          a
+        end
+      in
+      Elim.zero a len;
+      f a)
+
+(* The first artificial column and the column count: a slack for each <=
+   row, a surplus and an artificial for each >= row, an artificial for
+   each = row (after flipping rows with a negative right-hand side). *)
+let dims problem =
   let nstruct = Problem.num_vars problem in
-  let nrows = Problem.num_constraints problem in
-  (* Count extra columns. *)
   let n_slack = ref 0 and n_art = ref 0 in
   Problem.iter_constraints problem (fun _ sense rhs ->
-      let sense = if rhs < 0.0 then
-          (match sense with Problem.Le -> Problem.Ge
-                          | Problem.Ge -> Problem.Le
-                          | Problem.Eq -> Problem.Eq)
-        else sense
-      in
-      match sense with
+      match Problem.flipped sense rhs with
       | Problem.Le -> incr n_slack
       | Problem.Ge -> incr n_slack; incr n_art
       | Problem.Eq -> incr n_art);
   let first_artificial = nstruct + !n_slack in
-  let cols = first_artificial + !n_art in
-  let a = Array.init nrows (fun _ -> Array.make (cols + 1) 0.0) in
+  (first_artificial, first_artificial + !n_art)
+
+(* Lay out columns as [structural | slack/surplus | artificial] in [a],
+   zeroed up to (rows + 2) * (cols + 1), and install the initial basis:
+   slack for <= rows, artificial for >= and = rows. *)
+let build problem ~first_artificial ~cols a =
+  let nstruct = Problem.num_vars problem in
+  let nrows = Problem.num_constraints problem in
+  let width = cols + 1 in
   let basis = Array.make nrows (-1) in
-  let z1 = Array.make (cols + 1) 0.0 in
-  let z2 = Array.make (cols + 1) 0.0 in
+  let z1 = nrows * width and z2 = (nrows + 1) * width in
   let obj = Problem.objective problem in
-  Array.blit obj 0 z2 0 nstruct;
+  Array.iteri (fun v c -> a.{z2 + v} <- c) obj;
   let slack_next = ref nstruct and art_next = ref first_artificial in
   let dual_of_row = Array.make nrows (0, 0.0) in
   let r = ref 0 in
   Problem.iter_constraints problem (fun terms sense rhs ->
-      let row = a.(!r) in
+      let row = !r * width in
       let flip = rhs < 0.0 in
-      let put (v, c) = row.(v) <- row.(v) +. (if flip then -.c else c) in
-      Array.iter put terms;
-      row.(cols) <- (if flip then -.rhs else rhs);
-      let sense =
-        if flip then
-          match sense with
-          | Problem.Le -> Problem.Ge
-          | Problem.Ge -> Problem.Le
-          | Problem.Eq -> Problem.Eq
-        else sense
+      let put (v, c) =
+        a.{row + v} <- a.{row + v} +. (if flip then -.c else c)
       in
+      Array.iter put terms;
+      a.{row + cols} <- (if flip then -.rhs else rhs);
       (* Record where this row's dual can be read off after phase 2:
          the reduced cost of a slack (+1) column is -y, of a surplus
          (-1) column +y, of a zero-cost artificial -y; a flipped row
          negates the user-facing dual again. *)
       let fsign = if flip then -1.0 else 1.0 in
-      (match sense with
+      (match Problem.flipped sense rhs with
       | Problem.Le ->
           let s = !slack_next in
           incr slack_next;
-          row.(s) <- 1.0;
+          a.{row + s} <- 1.0;
           basis.(!r) <- s;
           dual_of_row.(!r) <- (s, -.fsign)
       | Problem.Ge ->
           let s = !slack_next in
           incr slack_next;
-          row.(s) <- -1.0;
+          a.{row + s} <- -1.0;
           let art = !art_next in
           incr art_next;
-          row.(art) <- 1.0;
+          a.{row + art} <- 1.0;
           basis.(!r) <- art;
           dual_of_row.(!r) <- (s, fsign)
       | Problem.Eq ->
           let art = !art_next in
           incr art_next;
-          row.(art) <- 1.0;
+          a.{row + art} <- 1.0;
           basis.(!r) <- art;
           dual_of_row.(!r) <- (art, -.fsign));
       incr r);
@@ -99,54 +125,38 @@ let build problem =
      price out the initial (artificial) basics by subtracting their
      rows. *)
   for j = first_artificial to cols - 1 do
-    z1.(j) <- 1.0
+    a.{z1 + j} <- 1.0
   done;
   for r = 0 to nrows - 1 do
     if basis.(r) >= first_artificial then begin
-      let row = a.(r) in
+      let row = r * width in
       for j = 0 to cols do
-        z1.(j) <- z1.(j) -. row.(j)
+        a.{z1 + j} <- a.{z1 + j} -. a.{row + j}
       done
     end
   done;
   (* The z rows store reduced costs in [0, cols) and minus the current
      objective value at index [cols]. *)
-  { rows = nrows; cols; a; basis; z1; z2; nstruct; first_artificial;
-    dual_of_row }
+  { rows = nrows; cols; width; a; basis; factor = Array.make (nrows + 2) 0.0;
+    scratch = Elim.scratch width; nstruct; first_artificial; dual_of_row }
 
 let pivot t ~row ~col =
-  let arow = t.a.(row) in
-  let p = arow.(col) in
-  let inv = 1.0 /. p in
-  for j = 0 to t.cols do
-    arow.(j) <- arow.(j) *. inv
+  for r = 0 to t.rows + 1 do
+    t.factor.(r) <- get t r col
   done;
-  arow.(col) <- 1.0;
-  let eliminate target =
-    let f = target.(col) in
-    if Float.abs f > 0.0 then begin
-      for j = 0 to t.cols do
-        target.(j) <- target.(j) -. (f *. arow.(j))
-      done;
-      target.(col) <- 0.0
-    end
-  in
-  for r = 0 to t.rows - 1 do
-    if r <> row then eliminate t.a.(r)
-  done;
-  eliminate t.z1;
-  eliminate t.z2;
+  Elim.pivot t.a ~width:t.width ~rows:(t.rows + 2) ~row ~col ~factor:t.factor
+    t.scratch;
   t.basis.(row) <- col
 
-(* Choose the entering column: Dantzig (most negative reduced cost) unless
-   [bland], then the lowest eligible index.  [limit] excludes artificial
-   columns during phase 2. *)
-let entering z ~bland ~limit =
+(* Choose the entering column from reduced-cost row [z]: Dantzig (most
+   negative reduced cost) unless [bland], then the lowest eligible index.
+   [limit] excludes artificial columns during phase 2. *)
+let entering t z ~bland ~limit =
   if bland then begin
     let found = ref (-1) in
     (try
        for j = 0 to limit - 1 do
-         if z.(j) < -.eps then begin
+         if get t z j < -.eps then begin
            found := j;
            raise Exit
          end
@@ -157,8 +167,9 @@ let entering z ~bland ~limit =
   else begin
     let best = ref (-1) and best_val = ref (-.eps) in
     for j = 0 to limit - 1 do
-      if z.(j) < !best_val then begin
-        best_val := z.(j);
+      let v = get t z j in
+      if v < !best_val then begin
+        best_val := v;
         best := j
       end
     done;
@@ -170,9 +181,9 @@ let entering z ~bland ~limit =
 let leaving t col =
   let best = ref (-1) and best_ratio = ref infinity in
   for r = 0 to t.rows - 1 do
-    let arc = t.a.(r).(col) in
+    let arc = get t r col in
     if arc > eps then begin
-      let ratio = t.a.(r).(t.cols) /. arc in
+      let ratio = get t r t.cols /. arc in
       if
         ratio < !best_ratio -. eps
         || (ratio < !best_ratio +. eps
@@ -194,7 +205,7 @@ let run_phase t z ~limit ~iters_left ~bland_after =
     if !iters >= iters_left then Out_of_iters
     else begin
       let bland = !iters > bland_after in
-      let col = entering z ~bland ~limit in
+      let col = entering t z ~bland ~limit in
       if col < 0 then Done
       else
         let row = leaving t col in
@@ -216,11 +227,10 @@ let run_phase t z ~limit ~iters_left ~bland_after =
 let expel_artificials t =
   for r = 0 to t.rows - 1 do
     if t.basis.(r) >= t.first_artificial then begin
-      let row = t.a.(r) in
       let col = ref (-1) in
       (try
          for j = 0 to t.first_artificial - 1 do
-           if Float.abs row.(j) > 1e-7 then begin
+           if Float.abs (get t r j) > 1e-7 then begin
              col := j;
              raise Exit
            end
@@ -230,8 +240,7 @@ let expel_artificials t =
     end
   done
 
-let solve_internal ?max_iters problem =
-  let t = build problem in
+let solve_tableau ?max_iters problem t =
   let default_budget = max 100_000 (50 * (t.rows + t.cols)) in
   let budget = match max_iters with Some b -> b | None -> default_budget in
   let bland_after = 10 * (t.rows + t.cols) in
@@ -239,9 +248,11 @@ let solve_internal ?max_iters problem =
   let after_phase1 =
     if not phase1_needed then Some budget
     else begin
-      match run_phase t t.z1 ~limit:t.cols ~iters_left:budget ~bland_after with
+      match
+        run_phase t (z1_row t) ~limit:t.cols ~iters_left:budget ~bland_after
+      with
       | Done, used ->
-          let phase1_obj = -.t.z1.(t.cols) in
+          let phase1_obj = -.get t (z1_row t) t.cols in
           if phase1_obj > feas_tol then None
           else begin
             expel_artificials t;
@@ -259,14 +270,14 @@ let solve_internal ?max_iters problem =
   | Some 0 -> (Iteration_limit, None)
   | Some left -> (
       match
-        run_phase t t.z2 ~limit:t.first_artificial ~iters_left:left
+        run_phase t (z2_row t) ~limit:t.first_artificial ~iters_left:left
           ~bland_after
       with
       | Done, _ ->
           let x = Array.make t.nstruct 0.0 in
           for r = 0 to t.rows - 1 do
             let b = t.basis.(r) in
-            if b < t.nstruct then x.(b) <- t.a.(r).(t.cols)
+            if b < t.nstruct then x.(b) <- get t r t.cols
           done;
           (* Clamp tiny negatives produced by roundoff. *)
           for v = 0 to t.nstruct - 1 do
@@ -274,13 +285,20 @@ let solve_internal ?max_iters problem =
           done;
           let duals =
             Array.map
-              (fun (col, sign) -> sign *. t.z2.(col))
+              (fun (col, sign) -> sign *. get t (z2_row t) col)
               t.dual_of_row
           in
           (Optimal { objective = Problem.objective_value problem x; x },
            Some duals)
       | Unbounded_col, _ -> (Unbounded, None)
       | Out_of_iters, _ -> (Iteration_limit, None))
+
+let solve_internal ?max_iters problem =
+  let first_artificial, cols = dims problem in
+  let len = (Problem.num_constraints problem + 2) * (cols + 1) in
+  with_buffer len (fun a ->
+      solve_tableau ?max_iters problem
+        (build problem ~first_artificial ~cols a))
 
 let solve ?max_iters problem = fst (solve_internal ?max_iters problem)
 

@@ -5,6 +5,23 @@
     termination under degeneracy, and a full-tableau implementation — ample
     for the (LP1)/(LP2) relaxations, whose tableaux have [n + m] rows.
 
+    Cost: the tableau is [(rows + 2) x (cols + 1)] floats, zeroed once
+    per solve; each pivot then costs O([rows + cols]) for pricing, the
+    ratio test and scaling the pivot row, plus O(rows touched × pivot-row
+    nonzeros) for the elimination ({!Elim.pivot}): rows whose pivot-column
+    entry is zero and columns where the scaled pivot row is zero are
+    skipped.  On (LP2) of 160 jobs in 16 chains on 10 machines (about
+    1,950 rows), a pivot updates 31 rows and 180 columns on average; on
+    (LP1) the pivot row is about 65% nonzero.  The elimination computes
+    every nonzero entry bit for bit as a full-row update would, so pivot
+    order, vertices and duals are those of a full-row tableau (a zero may
+    keep the sign [-0.0]; no pivot test reads the sign of a zero).
+
+    The tableau lives in one process-wide buffer, claimed with a
+    compare-and-set and grown to the largest tableau seen; a solve that
+    finds it taken (another domain or thread is solving) allocates its
+    own.
+
     All comparisons use an absolute tolerance of [1e-9]; callers should
     treat returned values as accurate to roughly [1e-7] relative. *)
 

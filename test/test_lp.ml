@@ -527,6 +527,189 @@ let prop_warm_garbage_basis_harmless =
       | S.Unbounded, (S.Unbounded, _) -> true
       | _, _ -> false)
 
+(* --- sparse pivots vs. the dense oracles --- *)
+
+(* Both exact solvers route every row elimination through
+   [Suu_lp.Elim], which skips the columns where the pivot row is zero.
+   [Lp_oracles] keeps the full-row solvers it replaced; on every input
+   the two must agree on the result variant, the objective, x, the
+   duals and the returned basis, bit for bit.  The one freedom the
+   kernel has is the sign of a zero (a skipped [-0.0 -. f *. 0.0]), so
+   zeros compare equal whatever their sign. *)
+
+let bits v = Int64.bits_of_float (v +. 0.0)
+
+let same_floats a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun u v -> bits u = bits v) a b
+
+let same_result r o =
+  match (r, o) with
+  | ( S.Optimal { objective = a; x = xa },
+      S.Optimal { objective = b; x = xb } ) ->
+      bits a = bits b && same_floats xa xb
+  | S.Infeasible, S.Infeasible
+  | S.Unbounded, S.Unbounded
+  | S.Iteration_limit, S.Iteration_limit ->
+      true
+  | _ -> false
+
+(* Random LPs biased toward what stresses an elimination: small integer
+   coefficients (exact cancellations, signed zeros), zero right-hand
+   sides (degenerate vertices), negative ones (flipped rows), and a mix
+   of senses that leaves some problems infeasible or unbounded. *)
+let oracle_lp seed =
+  let rng = Suu_prng.Rng.create ~seed in
+  let nv = 2 + Suu_prng.Rng.int rng 8 in
+  let nc = 1 + Suu_prng.Rng.int rng 8 in
+  let integral = Suu_prng.Rng.bool rng in
+  let coeff lo hi =
+    if integral then float_of_int (Suu_prng.Rng.int rng (hi - lo + 1) + lo)
+    else Suu_prng.Rng.range rng ~lo:(float_of_int lo) ~hi:(float_of_int hi)
+  in
+  let p = P.create () in
+  let vars = Array.init nv (fun _ -> P.add_var ~obj:(coeff (-2) 3) p) in
+  for _ = 1 to nc do
+    let terms =
+      Array.to_list vars
+      |> List.filter (fun _ -> Suu_prng.Rng.int rng 3 > 0)
+      |> List.map (fun v -> (v, coeff (-2) 2))
+    in
+    let terms = if terms = [] then [ (vars.(0), 1.0) ] else terms in
+    let sense =
+      match Suu_prng.Rng.int rng 3 with 0 -> P.Le | 1 -> P.Ge | _ -> P.Eq
+    in
+    let rhs =
+      match Suu_prng.Rng.int rng 3 with
+      | 0 -> 0.0
+      | 1 -> -.Float.abs (coeff 1 4)
+      | _ -> Float.abs (coeff 1 5)
+    in
+    P.add_constraint p terms sense rhs
+  done;
+  p
+
+(* (LP1) and (LP2) of a small generated instance, built the way
+   [Suu_core.Lp1] and [Suu_core.Lp2] build them: coverage and
+   machine-load rows, and for LP2 also chain-length, x <= d coupling and
+   d >= 1 rows. *)
+let workload_lp seed =
+  let module W = Suu_workload.Workload in
+  let module I = Suu_core.Instance in
+  let rng = Suu_prng.Rng.create ~seed in
+  let m = 2 + Suu_prng.Rng.int rng 3 in
+  let n = 3 + Suu_prng.Rng.int rng 9 in
+  let hazard = W.Uniform { lo = 0.2; hi = 0.95 } in
+  let lp2 = Suu_prng.Rng.bool rng in
+  let inst =
+    if lp2 then
+      W.random_chains hazard ~n ~z:(1 + Suu_prng.Rng.int rng 3) ~m ~seed
+    else W.independent hazard ~n ~m ~seed
+  in
+  let target =
+    if lp2 then 1.0
+    else Float.pow 2.0 (float_of_int (Suu_prng.Rng.int rng 4 - 1))
+  in
+  let p = P.create () in
+  let t = P.add_var ~obj:1.0 p in
+  let d = if lp2 then Array.init n (fun _ -> P.add_var p) else [||] in
+  (* (machine, job, variable, clipped log failure) per usable pair *)
+  let cells =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j ->
+            let c = I.clipped_log_failure inst ~target i j in
+            if c > 0.0 then Some (i, j, P.add_var p, c) else None)
+          (List.init n Fun.id))
+      (List.init m Fun.id)
+  in
+  for j = 0 to n - 1 do
+    P.add_constraint p
+      (List.filter_map
+         (fun (_, j', v, c) -> if j' = j then Some (v, c) else None)
+         cells)
+      P.Ge target
+  done;
+  for i = 0 to m - 1 do
+    P.add_constraint p
+      ((t, -1.0)
+      :: List.filter_map
+           (fun (i', _, v, _) -> if i' = i then Some (v, 1.0) else None)
+           cells)
+      P.Le 0.0
+  done;
+  if lp2 then begin
+    (* a chain starts at a job without predecessor and follows the
+       unique successors *)
+    let g = I.dag inst in
+    let rec chain j =
+      j :: (match Suu_dag.Dag.succs g j with [ s ] -> chain s | _ -> [])
+    in
+    List.iter
+      (fun h ->
+        if Suu_dag.Dag.preds g h = [] then
+          P.add_constraint p
+            ((t, -1.0) :: List.map (fun j -> (d.(j), 1.0)) (chain h))
+            P.Le 0.0)
+      (List.init n Fun.id);
+    List.iter
+      (fun (_, j, v, _) ->
+        P.add_constraint p [ (v, 1.0); (d.(j), -1.0) ] P.Le 0.0)
+      cells;
+    Array.iter (fun dj -> P.add_constraint p [ (dj, 1.0) ] P.Ge 1.0) d
+  end;
+  p
+
+(* One problem through all paths: the dense tableau (result and duals),
+   the cold revised simplex (result and basis), and the revised simplex
+   warm-started from that basis, from the optimal basis of the problem
+   with its right-hand side halved (the doubling step, which usually
+   needs the composite phase-1 repair), and from a garbage basis. *)
+let matches_oracles p ~halved ~garbage =
+  let dense = S.solve p in
+  let dense_o, duals_o = Lp_oracles.Dense.solve_internal p in
+  let duals = Option.map (fun d -> d.S.duals) (S.solve_detailed p) in
+  let revised_same ?basis () =
+    let r, b = Rs.solve_basis ?basis p in
+    let ro, bo = Lp_oracles.Revised.solve_basis ?basis p in
+    (same_result r ro && b = bo, b)
+  in
+  let cold_same, cold_basis = revised_same () in
+  let _, halved_basis = Rs.solve_basis halved in
+  same_result dense dense_o
+  && Option.equal same_floats duals duals_o
+  && cold_same
+  && fst (revised_same ?basis:cold_basis ())
+  && fst (revised_same ?basis:halved_basis ())
+  && fst (revised_same ~basis:garbage ())
+
+let halve p =
+  let h = P.create () in
+  let obj = P.objective p in
+  Array.iter (fun c -> ignore (P.add_var ~obj:c h)) obj;
+  P.iter_constraints p (fun terms sense rhs ->
+      P.add_constraint h (Array.to_list terms) sense (rhs /. 2.0));
+  h
+
+let prop_sparse_pivots_match_oracles =
+  QCheck.Test.make ~count:400 ~name:"sparse pivots = dense oracles"
+    QCheck.small_int (fun seed ->
+      let p = if seed mod 3 = 0 then workload_lp seed else oracle_lp seed in
+      let rng = Suu_prng.Rng.create ~seed:(seed + 104729) in
+      (* distinct columns, often a structurally sound basis *)
+      let garbage =
+        let cols = Array.init (P.num_vars p + P.num_constraints p) Fun.id in
+        for i = Array.length cols - 1 downto 1 do
+          let j = Suu_prng.Rng.int rng (i + 1) in
+          let c = cols.(i) in
+          cols.(i) <- cols.(j);
+          cols.(j) <- c
+        done;
+        Array.sub cols 0 (P.num_constraints p)
+      in
+      matches_oracles p ~halved:(halve p) ~garbage)
+
 (* --- MWU --- *)
 
 let mwu_case seed =
@@ -672,6 +855,8 @@ let () =
           q prop_warm_matches_cold_doubling;
           q prop_warm_matches_cold_lp2_shape;
           q prop_warm_garbage_basis_harmless;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |])
+            prop_sparse_pivots_match_oracles;
           q prop_mwu_feasible_and_near_optimal;
         ] );
     ]

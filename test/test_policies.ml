@@ -478,6 +478,93 @@ let test_golden_schedules () =
       Alcotest.(check string) (what ^ " assignment md5") md5 (matrix_digest steps))
     golden
 
+(* Golden LP plans: the LP policies' makespans on fixed small instances,
+   and the exact bits of one (LP1) and one (LP2) solution per exact
+   solver.  Recorded before the LP row eliminations went sparse; a
+   change to pivoting, the tableau or rounding that moves a single bit
+   of an LP vertex shows here. *)
+let lp_golden_instances =
+  [
+    ("independent", W.independent uniform ~n:40 ~m:4 ~seed:41);
+    ("chains", W.random_chains uniform ~n:40 ~z:5 ~m:4 ~seed:42);
+    ("forest", W.forest uniform ~n:36 ~trees:4 ~orientation:`Mixed ~m:4 ~seed:43);
+  ]
+
+let lp_golden_makespans =
+  [
+    ("independent", "suu-i-sem", [| 62; 62; 61; 61 |]);
+    ("independent", "suu-i-obl", [| 112; 122; 62; 110 |]);
+    ("chains", "suu-c", [| 84; 93; 88; 92 |]);
+    ("forest", "suu-t", [| 58; 64; 58; 60 |]);
+  ]
+
+let lp_golden_digests =
+  [
+    ("lp1 simplex", "f2b031e792b9435a5422076bd3fe8ff6");
+    ("lp1 revised", "4d18a8dcade874526ef7c87b36ee4ce6");
+    ("lp2 simplex", "527e4b261f48cbfaaee1505294792bc5");
+    ("lp2 revised", "1b6ca49bd9f781e379a04fa3924a23fb");
+  ]
+
+let lp_golden_policy name inst =
+  match name with
+  | "suu-i-sem" -> Suu_core.Suu_i_sem.policy inst
+  | "suu-i-obl" -> Suu_core.Suu_i_obl.policy inst
+  | "suu-c" -> Suu_core.Suu_c.policy inst
+  | "suu-t" -> Suu_core.Suu_t.policy inst
+  | _ -> invalid_arg name
+
+let bits_digest floats =
+  let b = Buffer.create 4096 in
+  List.iter
+    (Array.iter (fun v ->
+         Buffer.add_string b (Int64.to_string (Int64.bits_of_float v));
+         Buffer.add_char b ','))
+    floats;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let lp_solution_digests () =
+  let module S = Suu_core.Solver_choice in
+  let ind = List.assoc "independent" lp_golden_instances in
+  let chained = List.assoc "chains" lp_golden_instances in
+  let chains =
+    match Suu_dag.Chains.of_dag (Instance.dag chained) with
+    | Some c -> c
+    | None -> invalid_arg "not chains"
+  in
+  let lp1 solver =
+    let f =
+      Suu_core.Lp1.solve ~solver ind ~jobs:(Array.init (Instance.n ind) Fun.id)
+        ~target:0.5
+    in
+    let basis =
+      Option.fold ~none:[||] ~some:(Array.map float_of_int) f.Suu_core.Lp1.basis
+    in
+    bits_digest ([| f.Suu_core.Lp1.value |] :: basis :: Array.to_list f.x)
+  in
+  let lp2 solver =
+    let f = Suu_core.Lp2.solve ~solver chained ~chains in
+    bits_digest
+      ([| f.Suu_core.Lp2.value |] :: f.d :: Array.to_list f.Suu_core.Lp2.x)
+  in
+  [ ("lp1 simplex", lp1 S.Simplex); ("lp1 revised", lp1 S.Revised);
+    ("lp2 simplex", lp2 S.Simplex); ("lp2 revised", lp2 S.Revised) ]
+
+let test_golden_lp_plans () =
+  List.iter
+    (fun (shape, pname, mks) ->
+      let inst = List.assoc shape lp_golden_instances in
+      Alcotest.(check (array int))
+        (shape ^ " " ^ pname ^ " makespans")
+        mks
+        (Array.map int_of_float
+           (Runner.makespans inst (lp_golden_policy pname inst) ~seed:5 ~reps:4)))
+    lp_golden_makespans;
+  List.iter2
+    (fun (what, md5) (_, got) ->
+      Alcotest.(check string) (what ^ " solution bits md5") md5 got)
+    lp_golden_digests (lp_solution_digests ())
+
 let test_greedy_oblivious_coverage () =
   (* The LP-free assignment must reach the target mass on every job. *)
   let inst = W.independent uniform ~n:12 ~m:4 ~seed:40 in
@@ -762,6 +849,7 @@ let () =
             test_greedy_oblivious_custom_target;
           Alcotest.test_case "online oracles" `Quick test_online_oracles;
           Alcotest.test_case "golden schedules" `Quick test_golden_schedules;
+          Alcotest.test_case "golden LP plans" `Quick test_golden_lp_plans;
         ] );
       ( "suu-c",
         [
