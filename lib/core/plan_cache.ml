@@ -150,10 +150,10 @@ type t = {
 }
 
 (* [Instance_io.to_string] plus [Digest.string] walk the whole
-   instance, and handles are not always long-lived: SUU-C (and SUU-T's
-   stages) build an inner SUU-I-SEM policy value — hence a cache
-   handle — at every segment boundary of every replication.  The digest
-   is therefore memoized by physical identity.  Structural hashing is
+   instance, and handles are not always long-lived: the server builds
+   policies per request, and SUU-T builds one SUU-C (hence, with long
+   jobs, one handle) per forest block.  The digest is therefore
+   memoized by physical identity.  Structural hashing is
    capped by [Hashtbl.hash] (a bounded prefix walk), equality is [==],
    and the memo is reset when it outgrows the server's instance cache
    rather than kept weak — worst case it re-digests, never leaks

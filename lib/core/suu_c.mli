@@ -72,7 +72,14 @@ val policy_of_prepared :
     from multiples of that many supersteps — the effect of the paper's
     "nonpolynomial t_LP2" coarsening trick (Section 4), which thins the
     delay lattice to polynomially many values while preserving
-    Theorem 7's congestion bound up to constants. *)
+    Theorem 7's congestion bound up to constants.
+
+    The policy value holds one {!Plan_cache} handle, built only when
+    there are long jobs, for every SEM run of every execution.  A
+    stepper's state is allocated when the execution starts; a step
+    allocates nothing outside segment boundaries, where the SEM run's
+    scope is built from the pauses begun so far (never a scan of all
+    long jobs). *)
 
 val policy :
   ?solver:Solver_choice.t ->

@@ -20,3 +20,14 @@ val policy :
     to a subset (used by SUU-C's long-job phases; default all jobs) — the
     stepper then ignores jobs outside the subset entirely, and the round
     count uses the subset size. *)
+
+val scoped : Plan_cache.t -> m:int -> int array -> Policy.stepper
+(** [scoped cache ~m scope] is one fresh SUU-I-SEM execution on an
+    [m]-machine instance, restricted to the jobs of [scope] (non-empty;
+    borrowed, never mutated), with its round plans looked up in
+    [cache].  Each stepper of {!policy} is one of these.  SUU-C calls it
+    directly at every segment boundary, with the pending long jobs as
+    the scope and one cache handle shared by all of its boundaries, so a
+    boundary builds no policy value.  Per step the stepper allocates
+    nothing: survivor sets are built once per round, and the serial
+    tail keeps a cursor past completed jobs and refills one row. *)

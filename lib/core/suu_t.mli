@@ -14,4 +14,7 @@ val policy :
   ?solver:Solver_choice.t -> ?top_machines:int -> Instance.t -> Policy.t
 (** [policy inst] prepares one SUU-C stage per block (LPs solved at
     creation) and executes the stages sequentially, advancing when the
-    current block's jobs are all complete. *)
+    current block's jobs are all complete.  That test keeps a cursor
+    past the block's completed jobs (the [Policy.stepper] contract:
+    jobs never turn remaining again), so it costs amortized O(1) per
+    step, not a scan of the block. *)

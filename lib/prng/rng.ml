@@ -1,5 +1,12 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64;
-           mutable s3 : int64 }
+(* xoshiro256** state s0..s3 as four native-endian int64 words of one
+   32-byte buffer.  Mutable [int64] record fields box on every store
+   (~30 minor words per drawn value); [Bytes.get_int64_ne] and
+   [Bytes.set_int64_ne] are unboxed primitives, so a draw allocates at
+   most the boxed result. *)
+type t = Bytes.t
+
+let get (t : t) k = Bytes.get_int64_ne t (8 * k)
+let set (t : t) k v = Bytes.set_int64_ne t (8 * k) v
 
 (* splitmix64: used only to expand a seed into xoshiro state. *)
 let splitmix_next state =
@@ -16,11 +23,16 @@ let of_seed64 seed =
   let s1 = splitmix_next state in
   let s2 = splitmix_next state in
   let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3;
+  t
 
 let create ~seed = of_seed64 (Int64.of_int seed)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
@@ -28,42 +40,46 @@ let rotl x k =
 (* xoshiro256** next *)
 let bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  let s2 = logxor s2 tmp in
+  let s3 = rotl s3 45 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3;
   result
 
 let split t = of_seed64 (bits64 t)
 
+(* Rejection sampling on the top 62 bits for exact uniformity.  The
+   retry loops here and in [uniform_open] are top-level functions, not
+   local closures, so a draw allocates no closure. *)
+let mask62 = 0x3FFF_FFFF_FFFF_FFFFL
+
+let rec int_draw t bound =
+  let v = Int64.logand (bits64 t) mask62 in
+  let lim = Int64.sub mask62 (Int64.rem mask62 bound) in
+  if Int64.unsigned_compare v lim >= 0 then int_draw t bound
+  else Int64.to_int (Int64.rem v bound)
+
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits for exact uniformity. *)
-  let mask = 0x3FFF_FFFF_FFFF_FFFFL in
-  let bound = Int64.of_int n in
-  let rec draw () =
-    let v = Int64.logand (bits64 t) mask in
-    let lim = Int64.sub mask (Int64.rem mask bound) in
-    if Int64.unsigned_compare v lim >= 0 then draw ()
-    else Int64.to_int (Int64.rem v bound)
-  in
-  draw ()
+  int_draw t (Int64.of_int n)
 
 let float t x =
   (* 53 random bits over [0,1), scaled. *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1.0p-53 *. x
 
-let uniform_open t =
-  let rec draw () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else draw ()
-  in
-  draw ()
+let rec uniform_open t =
+  let u = float t 1.0 in
+  if u > 0.0 then u else uniform_open t
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

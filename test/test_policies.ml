@@ -565,6 +565,244 @@ let test_golden_lp_plans () =
       Alcotest.(check string) (what ^ " solution bits md5") md5 got)
     lp_golden_digests (lp_solution_digests ())
 
+(* LP stepper oracles: the list-based SUU-I-SEM, SUU-C and SUU-T
+   steppers in [Lp_stepper_oracles] against the allocation-free ones,
+   on the same prepared plans.  Each pair must record the same result
+   and assignment matrix, leave equal [Suu_c.stats], and make as many
+   plan-cache lookups. *)
+module O = Lp_stepper_oracles
+
+(* A copy of [inst] with job [j] renamed [perm.(j)], so chain, block
+   and long-job orders stop being ascending job orders. *)
+let relabel inst rng =
+  let n = Instance.n inst and m = Instance.m inst in
+  let perm = Array.init n Fun.id in
+  Rng.shuffle rng perm;
+  let q =
+    Array.init m (fun i ->
+        let row = Array.make n 0.0 in
+        for j = 0 to n - 1 do
+          row.(perm.(j)) <- Instance.q inst i j
+        done;
+        row)
+  in
+  let edges =
+    List.map (fun (a, b) -> (perm.(a), perm.(b))) (Dag.edges (Instance.dag inst))
+  in
+  Instance.make ~dag:(Dag.of_edges ~n edges) q
+
+let chains_of inst =
+  match Suu_dag.Chains.of_dag (Instance.dag inst) with
+  | Some c -> c
+  | None -> invalid_arg "not chains"
+
+let plan_lookups () =
+  let s = Suu_core.Plan_cache.global_stats () in
+  s.hits + s.misses
+
+(* One pair: oracle and new policy (built fresh, so each gets its own
+   stats sink), and each side's SUU-C stats. *)
+type lp_pair = {
+  label : string;
+  build : oracle:bool -> Policy.t * Suu_core.Suu_c.stats;
+}
+
+let suu_c_pair ?random_delays ?delay_granularity inst ~chains =
+  let prep = Suu_core.Suu_c.prepare inst ~chains in
+  {
+    label = "suu-c";
+    build =
+      (fun ~oracle ->
+        let stats = Suu_core.Suu_c.new_stats () in
+        let make =
+          if oracle then O.Suu_c.policy_of_prepared
+          else Suu_core.Suu_c.policy_of_prepared
+        in
+        (make ~stats ?random_delays ?delay_granularity inst prep, stats));
+  }
+
+let plain_pair label oracle fresh =
+  {
+    label;
+    build =
+      (fun ~oracle:o ->
+        ((if o then oracle () else fresh ()), Suu_core.Suu_c.new_stats ()));
+  }
+
+let lp_pairs inst ~shape ~random_delays ~delay_granularity =
+  match shape with
+  | `Independent ->
+      [
+        plain_pair "suu-i-sem"
+          (fun () -> O.Sem.policy inst)
+          (fun () -> Suu_core.Suu_i_sem.policy inst);
+        suu_c_pair ~random_delays ~delay_granularity inst
+          ~chains:(List.init (Instance.n inst) (fun j -> [| j |]));
+      ]
+  | `Chains ->
+      [ suu_c_pair ~random_delays ~delay_granularity inst ~chains:(chains_of inst) ]
+  | `Forest ->
+      [
+        plain_pair "suu-t"
+          (fun () -> O.Suu_t.policy inst)
+          (fun () -> Suu_core.Suu_t.policy inst);
+      ]
+
+(* Runs both sides of [pair] on [trace]; [Some why] on the first
+   difference. *)
+let lp_pair_mismatch inst pair ~trace ~seed =
+  let run ~oracle =
+    let p, stats = pair.build ~oracle in
+    let before = plan_lookups () in
+    let r = Engine.run_recorded inst p ~trace ~rng:(Rng.create ~seed) in
+    (r, stats, plan_lookups () - before)
+  in
+  let r_o, s_o, l_o = run ~oracle:true in
+  let r_n, s_n, l_n = run ~oracle:false in
+  if r_o <> r_n then Some (pair.label ^ ": result or assignment matrix")
+  else if s_o <> s_n then Some (pair.label ^ ": Suu_c.stats")
+  else if l_o <> l_n then
+    Some (Printf.sprintf "%s: plan-cache lookups %d vs %d" pair.label l_o l_n)
+  else None
+
+(* [draw], with about a quarter of the thresholds set to 0 (those jobs
+   complete before step 0) for [`Zeros], or multiplied by 16 (those
+   jobs outlive SUU-I-SEM's rounds into its tail) for [`Heavy]. *)
+let trace_with ~n ~kind rng =
+  let t = Trace.draw ~n rng in
+  Trace.of_thresholds
+    (Array.init n (fun j ->
+         let w = Trace.threshold t j in
+         match kind with
+         | `Drawn -> w
+         | `Zeros -> if Rng.int rng 4 = 0 then 0.0 else w
+         | `Heavy -> if Rng.int rng 4 = 0 then 16.0 *. w else w))
+
+let prop_lp_stepper_oracles =
+  let shapes = [| `Independent; `Chains; `Forest |] in
+  let hazards = [| uniform; W.Specialists { capable = 1 }; W.Near_one |] in
+  QCheck.Test.make ~count:60 ~name:"LP steppers match list-based oracles"
+    QCheck.(triple (int_bound 2) (int_range 4 48) small_nat)
+    (fun (s, n, seed) ->
+      let rng = Rng.create ~seed:(seed + (1000 * s) + n) in
+      let m = 2 + Rng.int rng 5 in
+      let hazard = hazards.(Rng.int rng (Array.length hazards)) in
+      let wseed = Rng.int rng 100_000 in
+      let inst =
+        match shapes.(s) with
+        | `Independent -> W.independent hazard ~n ~m ~seed:wseed
+        | `Chains ->
+            W.random_chains hazard ~n ~z:(1 + Rng.int rng (min n 8)) ~m
+              ~seed:wseed
+        | `Forest ->
+            W.forest hazard ~n ~trees:(1 + Rng.int rng 4) ~orientation:`Mixed
+              ~m ~seed:wseed
+      in
+      let inst = if Rng.bool rng then relabel inst rng else inst in
+      let random_delays = Rng.bool rng in
+      let delay_granularity = if Rng.bool rng then 1 else 3 in
+      List.for_all
+        (fun pair ->
+          List.for_all
+            (fun kind ->
+              let trace = trace_with ~n ~kind rng in
+              match lp_pair_mismatch inst pair ~trace ~seed:(Rng.int rng 1000) with
+              | None -> true
+              | Some why -> QCheck.Test.fail_report why)
+            [ `Drawn; `Zeros; `Heavy ])
+        (lp_pairs inst ~shape:shapes.(s) ~random_delays ~delay_granularity))
+
+(* The property must reach SUU-C's segment-boundary SEM runs. *)
+let test_lp_stepper_oracles () =
+  let stats = Suu_core.Suu_c.new_stats () in
+  let inst =
+    W.chains (W.Specialists { capable = 1 }) ~z:2 ~length:6 ~m:2 ~seed:22
+  in
+  ignore (Runner.makespans inst (Suu_core.Suu_c.policy ~stats inst) ~seed:1 ~reps:1);
+  Alcotest.(check bool) "SEM runs reachable" true (stats.sem_invocations > 0);
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 16 |]) prop_lp_stepper_oracles
+
+(* The cursors' edges, on fixed thresholds: jobs with threshold 0
+   complete before step 0; SUU-C's long jobs get a threshold so small
+   that each SEM run ends inside its first plan step; and in SUU-T one
+   block starts complete and the next completes in one step. *)
+let test_lp_stepper_edges () =
+  let same ?(seed = 3) what inst pair thresholds =
+    let trace = Trace.of_thresholds thresholds in
+    match lp_pair_mismatch inst pair ~trace ~seed with
+    | None -> ()
+    | Some why -> Alcotest.fail (what ^ ": " ^ why)
+  in
+  (* SUU-I-SEM: every other job done before step 0. *)
+  let ind = W.independent uniform ~n:20 ~m:3 ~seed:61 in
+  List.iter
+    (fun pair ->
+      same "independent" ind pair
+        (Array.init 20 (fun j -> if j mod 2 = 0 then 0.0 else 1.5)))
+    (lp_pairs ind ~shape:`Independent ~random_delays:true ~delay_granularity:1);
+  (* SUU-I-SEM's tails: serial (n <= m) and repeat-last (m < n). *)
+  List.iter
+    (fun (what, inst, w) ->
+      List.iter
+        (fun pair -> same what inst pair w)
+        (lp_pairs inst ~shape:`Independent ~random_delays:false
+           ~delay_granularity:1))
+    [
+      ( "serial tail",
+        W.independent uniform ~n:3 ~m:6 ~seed:8,
+        [| 40.0; 0.0; 50.0 |] );
+      ( "repeat tail",
+        W.independent uniform ~n:8 ~m:2 ~seed:9,
+        Array.init 8 (fun j -> if j = 3 then 0.0 else 30.0 +. float_of_int j) );
+    ];
+  (* SUU-C: zero-threshold jobs, and one-step SEM runs.  With a single
+     chain each SEM run has one target, which its first plan step
+     serves. *)
+  let ch =
+    W.chains (W.Specialists { capable = 1 }) ~z:1 ~length:12 ~m:2 ~seed:22
+  in
+  let chains = chains_of ch in
+  let prep = Suu_core.Suu_c.prepare ch ~chains in
+  let long = prep.Suu_core.Suu_c.long_jobs in
+  Alcotest.(check bool) "has long jobs" true (long <> []);
+  let w =
+    Array.init (Instance.n ch) (fun j ->
+        if List.mem j long then 1e-9 else if j mod 5 = 1 then 0.0 else 2.0)
+  in
+  let pair = suu_c_pair ch ~chains in
+  same "chains" ch pair w;
+  let stats = Suu_core.Suu_c.new_stats () in
+  ignore
+    (Engine.run ch
+       (Suu_core.Suu_c.policy_of_prepared ~stats ch prep)
+       ~trace:(Trace.of_thresholds w) ~rng:(Rng.create ~seed:3));
+  Alcotest.(check bool) "SEM runs happened" true (stats.sem_invocations > 0);
+  Alcotest.(check int) "each SEM run took one step" stats.sem_invocations
+    stats.sem_steps;
+  (* SUU-T: the path 0 -> 1 -> 2 is block 0 and the leaves 3 and 4
+     (children of 0) are block 1.  Block 0 is complete before step 0;
+     under policy seed 1 both leaves draw delay 1, so block 1 runs, and
+     completes, in the single step after an idle one. *)
+  let fo =
+    Instance.make
+      ~dag:(Dag.of_edges ~n:5 [ (0, 1); (1, 2); (0, 3); (0, 4) ])
+      (Array.init 3 (fun i ->
+           Array.init 5 (fun j -> if (i + j) mod 3 = 0 then 0.3 else 0.6)))
+  in
+  Alcotest.(check int) "two blocks" 2 (Array.length (Suu_core.Suu_t.blocks fo));
+  let w = [| 0.0; 0.0; 0.0; 1e-9; 1e-9 |] in
+  same ~seed:1 "forest" fo
+    (List.hd (lp_pairs fo ~shape:`Forest ~random_delays:true ~delay_granularity:1))
+    w;
+  let _, steps =
+    Engine.run_recorded fo (Suu_core.Suu_t.policy fo)
+      ~trace:(Trace.of_thresholds w) ~rng:(Rng.create ~seed:1)
+  in
+  Alcotest.(check (array (array int)))
+    "block 1 in one step"
+    [| [| -1; -1; -1 |]; [| 3; 3; 4 |] |]
+    steps
+
 let test_greedy_oblivious_coverage () =
   (* The LP-free assignment must reach the target mass on every job. *)
   let inst = W.independent uniform ~n:12 ~m:4 ~seed:40 in
@@ -850,6 +1088,9 @@ let () =
           Alcotest.test_case "online oracles" `Quick test_online_oracles;
           Alcotest.test_case "golden schedules" `Quick test_golden_schedules;
           Alcotest.test_case "golden LP plans" `Quick test_golden_lp_plans;
+          Alcotest.test_case "LP stepper oracles" `Quick
+            test_lp_stepper_oracles;
+          Alcotest.test_case "LP stepper edges" `Quick test_lp_stepper_edges;
         ] );
       ( "suu-c",
         [

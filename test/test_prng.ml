@@ -10,6 +10,60 @@ let test_determinism () =
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+(* Golden stream: values recorded from the four-field record state,
+   before the state moved into one [Bytes.t].  Any change to seeding,
+   the xoshiro update order or the derived draws shows here. *)
+let golden_bits64 =
+  [
+    ( 0,
+      [| -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+         7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+         7788427924976520344L; -8565655843838424513L |] );
+    ( 1,
+      [| -5480124913605472059L; -8846382939111011094L; -7856363154187860716L;
+         7218738570589545383L; -5586072249713871245L; 2648436617965840162L;
+         1310552918490157286L; 7031611932980406429L |] );
+    ( -1,
+      [| -8118546653352383224L; -4290065566684577747L; -9088772293754075490L;
+         -4655159067405239249L; -7983312046894832854L; -4948507577611999963L;
+         6831296623176769502L; -4285393230689821982L |] );
+    ( max_int,
+      [| 7651040205805895144L; 8109190802567772668L; -9096090508748817784L;
+         3925524024463235365L; 3842358165189036185L; 1215869592337824984L;
+         -4616323309892477403L; -1846428240824373369L |] );
+  ]
+
+let test_golden_stream () =
+  List.iter
+    (fun (seed, expected) ->
+      let r = Rng.create ~seed in
+      Alcotest.(check (array int64))
+        (Printf.sprintf "bits64 seed %d" seed)
+        expected
+        (Array.init 8 (fun _ -> Rng.bits64 r)))
+    golden_bits64;
+  let r = Rng.create ~seed:42 in
+  let c = Rng.split r in
+  let child = [| Rng.bits64 c; Rng.bits64 c |] in
+  Alcotest.(check (array int64))
+    "split child" [| 1184342940732292706L; -8150312660505607085L |] child;
+  Alcotest.(check int64) "split parent" 6990951692964543102L (Rng.bits64 r);
+  let r = Rng.create ~seed:43 in
+  Alcotest.(check (list int))
+    "int" [ 0; 1; 0; 75; 45752; 625259087925744930 ]
+    (List.map (Rng.int r) [ 1; 2; 7; 100; 1_000_000; max_int ]);
+  let r = Rng.create ~seed:44 in
+  Alcotest.(check (array int64))
+    "uniform_open bits"
+    [| 4605535198165795120L; 4604331478743219741L; 4605641476975974382L;
+       4599742091279682194L |]
+    (Array.init 4 (fun _ -> Int64.bits_of_float (Rng.uniform_open r)));
+  let r = Rng.create ~seed:45 in
+  let a = Array.init 12 Fun.id in
+  Rng.shuffle r a;
+  Alcotest.(check (array int))
+    "shuffle" [| 9; 6; 4; 10; 7; 3; 11; 1; 0; 2; 5; 8 |] a
+
 let test_seed_sensitivity () =
   let a = Rng.create ~seed:1 and b = Rng.create ~seed:2 in
   let differs = ref false in
@@ -190,6 +244,7 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "same seed same stream" `Quick test_determinism;
+          Alcotest.test_case "golden stream" `Quick test_golden_stream;
           Alcotest.test_case "different seeds" `Quick test_seed_sensitivity;
           Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "split advances parent" `Quick
